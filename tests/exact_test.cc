@@ -261,6 +261,63 @@ TEST(ExactEncoder, NodeLimitIsUnsupported)
     EXPECT_EQ(decision.detail, "node_limit");
 }
 
+TEST(ExactEncoder, SuiteProbesKeepTheirSolverCounters)
+{
+    // Suite loops probed at their MII on the 4-cluster machine, with
+    // the encoding's size and the whole search pinned: the encoder
+    // must emit the same variables and clauses in the same order, and
+    // the solver must walk the same path to the same model.
+    struct Pinned
+    {
+        int loop;
+        int vars;
+        long clauses;
+        SatStatus status;
+        long conflicts;
+        long decisions;
+        long propagations;
+        uint64_t model;
+    };
+    const Pinned pinned[] = {
+        {0, 936, 2251, SatStatus::Sat, 73, 522, 6800,
+         0x314971A1E09C1D13ULL},
+        {19, 4650, 12407, SatStatus::Sat, 1155, 4756, 213152,
+         0x5CAE37B28E9121ABULL},
+        {36, 1058, 2669, SatStatus::Unsat, 136, 548, 18213,
+         0xCBF29CE484222325ULL},
+        {69, 1767, 5162, SatStatus::Unsat, 401, 1281, 58539,
+         0xCBF29CE484222325ULL},
+    };
+    const std::vector<Dfg> suite = buildSuite(70, defaultSuiteSeed);
+    const MachineDesc machine = busedGpMachine(4, 4, 2);
+    const ResourceModel model(machine);
+    for (const Pinned &pin : pinned) {
+        const Dfg &graph = suite[pin.loop];
+        SCOPED_TRACE(graph.name());
+        const int ii = computeMii(graph, machine).mii;
+        ExactEncoder encoder(graph, model);
+        SatSolver solver;
+        ASSERT_TRUE(encoder.encode(ii, encoder.fastHorizon(ii), solver));
+        SatBudget budget;
+        budget.maxConflicts = ExactOptions{}.conflictBudget;
+        const SatStatus status = solver.solve(budget);
+        uint64_t digest = 0xCBF29CE484222325ULL;
+        if (status == SatStatus::Sat) {
+            for (SatVar v = 0; v < solver.numVars(); ++v)
+                digest = (digest ^ (solver.value(v) ? 1 : 0)) *
+                         0x100000001B3ULL;
+        }
+        EXPECT_EQ(solver.numVars(), pin.vars);
+        EXPECT_EQ(solver.numClauses(), pin.clauses);
+        EXPECT_EQ(status, pin.status);
+        EXPECT_EQ(solver.stats().conflicts, pin.conflicts);
+        EXPECT_EQ(solver.stats().decisions, pin.decisions);
+        EXPECT_EQ(solver.stats().propagations, pin.propagations);
+        EXPECT_EQ(digest, pin.model)
+            << std::hex << std::uppercase << "0x" << digest << "ULL";
+    }
+}
+
 // ------------------------------------------------------------- driver
 
 TEST(ExactBackend, NamesRoundTrip)
