@@ -204,9 +204,13 @@ class ClusterAssigner
                      LoopContext *ctx = nullptr) const;
 
   private:
+    /** Buffers one run() call reuses across its restarts. */
+    struct Scratch;
+
     /** One attempt with the given tie-break rotation offset. */
     AssignResult runAttempt(const Dfg &graph, int ii, int rotation,
-                            Mrt &mrt, LoopContext *ctx) const;
+                            Mrt &mrt, Scratch &scratch,
+                            LoopContext *ctx) const;
 
     const ResourceModel &model_;
     AssignOptions options_;

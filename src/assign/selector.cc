@@ -1,7 +1,6 @@
 #include "assign/selector.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "support/logging.hh"
 
@@ -11,20 +10,20 @@ namespace cams
 namespace
 {
 
-using Filter = std::function<bool(const ClusterChoice &)>;
-
 /**
  * The surviving-cluster list plus the optional decision record. Every
  * Select step runs through here so the Figure 9 soft-keep rule and
- * the explain bookkeeping exist once.
+ * the explain bookkeeping exist once. The list lives in a buffer the
+ * caller owns and is filtered in place, so a step allocates nothing.
  */
 class Cascade
 {
   public:
     Cascade(const std::vector<ClusterChoice> &choices,
-            SelectionExplain *explain)
-        : base_(choices.data()), explain_(explain)
+            SelectionExplain *explain, CascadeBuffer &list)
+        : base_(choices.data()), explain_(explain), list_(list)
     {
+        list_.clear();
         if (explain_) {
             explain_->verdicts.assign(choices.size(), {});
             for (size_t i = 0; i < choices.size(); ++i)
@@ -56,15 +55,14 @@ class Cascade
     const ClusterChoice &at(size_t i) const { return *list_[i]; }
 
     /** Figure 9: keep the old list when the filter would empty it. */
+    template <typename Keep>
     void
-    select(const char *step, const Filter &keep)
+    select(const char *step, Keep keep)
     {
-        std::vector<const ClusterChoice *> filtered;
-        for (const ClusterChoice *choice : list_) {
-            if (keep(*choice))
-                filtered.push_back(choice);
-        }
-        if (filtered.empty() || filtered.size() == list_.size())
+        const auto kept = std::count_if(
+            list_.begin(), list_.end(),
+            [&](const ClusterChoice *choice) { return keep(*choice); });
+        if (kept == 0 || static_cast<size_t>(kept) == list_.size())
             return; // vacuous or would empty the list: soft-keep
         if (explain_) {
             for (const ClusterChoice *choice : list_) {
@@ -75,13 +73,18 @@ class Cascade
             }
             explain_->decidingStep = step;
         }
-        list_ = std::move(filtered);
+        // remove_if keeps the survivors in their original order.
+        list_.erase(std::remove_if(list_.begin(), list_.end(),
+                                   [&](const ClusterChoice *choice) {
+                                       return !keep(*choice);
+                                   }),
+                    list_.end());
     }
 
     /** Keeps the minimizers of a metric (soft: a min always exists). */
+    template <typename Metric>
     void
-    selectMin(const char *step,
-              const std::function<int(const ClusterChoice &)> &metric)
+    selectMin(const char *step, Metric metric)
     {
         if (list_.empty())
             return;
@@ -114,7 +117,7 @@ class Cascade
 
     const ClusterChoice *base_;
     SelectionExplain *explain_;
-    std::vector<const ClusterChoice *> list_;
+    CascadeBuffer &list_;
 };
 
 } // namespace
@@ -123,9 +126,10 @@ ClusterId
 selectBestCluster(const std::vector<ClusterChoice> &choices,
                   bool full_heuristic, bool avoid_previous, bool in_scc,
                   int rotation, bool use_scc_affinity, bool use_pcr,
-                  SelectionExplain *explain)
+                  SelectionExplain *explain, CascadeBuffer *survivors)
 {
-    Cascade cascade(choices, explain);
+    CascadeBuffer local;
+    Cascade cascade(choices, explain, survivors ? *survivors : local);
     for (const ClusterChoice &choice : choices) {
         if (choice.feasible)
             cascade.admit(choice);
@@ -173,10 +177,12 @@ selectBestCluster(const std::vector<ClusterChoice> &choices,
 
 ClusterId
 selectForcedCluster(const std::vector<ClusterChoice> &choices,
-                    bool avoid_previous, SelectionExplain *explain)
+                    bool avoid_previous, SelectionExplain *explain,
+                    CascadeBuffer *survivors)
 {
     cams_assert(!choices.empty(), "forced selection over no clusters");
-    Cascade cascade(choices, explain);
+    CascadeBuffer local;
+    Cascade cascade(choices, explain, survivors ? *survivors : local);
     for (const ClusterChoice &choice : choices)
         cascade.admit(choice);
 

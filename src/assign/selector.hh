@@ -103,6 +103,13 @@ struct SelectionExplain
 };
 
 /**
+ * The survivor list a cascade filters in place. A caller that runs
+ * the cascades in a loop owns one and passes it to every call, so no
+ * Select step allocates; without one, each call uses a local list.
+ */
+using CascadeBuffer = std::vector<const ClusterChoice *>;
+
+/**
  * Figure 10 cascade over tentatively evaluated clusters.
  *
  * @param choices one entry per feasible cluster (infeasible entries
@@ -117,6 +124,7 @@ struct SelectionExplain
  *        tie-breaks instead of cycling (§4.3.2's goal).
  * @param explain when non-null, filled with per-cluster verdicts for
  *        the decision trace (adds no cost when null).
+ * @param survivors reusable survivor list (see CascadeBuffer).
  * @return the selected cluster, or invalidCluster when nothing is
  *         feasible.
  */
@@ -125,19 +133,22 @@ ClusterId selectBestCluster(const std::vector<ClusterChoice> &choices,
                             bool in_scc, int rotation = 0,
                             bool use_scc_affinity = true,
                             bool use_pcr = true,
-                            SelectionExplain *explain = nullptr);
+                            SelectionExplain *explain = nullptr,
+                            CascadeBuffer *survivors = nullptr);
 
 /**
  * Figure 11 cascade: where to force a node nothing can host.
  *
  * @param choices one entry per cluster of the machine.
  * @param explain when non-null, filled with per-cluster verdicts.
+ * @param survivors reusable survivor list (see CascadeBuffer).
  * @return the selected cluster (never invalidCluster for a non-empty
  *         input).
  */
 ClusterId selectForcedCluster(const std::vector<ClusterChoice> &choices,
                               bool avoid_previous,
-                              SelectionExplain *explain = nullptr);
+                              SelectionExplain *explain = nullptr,
+                              CascadeBuffer *survivors = nullptr);
 
 } // namespace cams
 

@@ -1,8 +1,6 @@
 #include "exact/encode.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "graph/opcode.hh"
@@ -13,7 +11,7 @@ namespace cams
 
 ExactEncoder::ExactEncoder(const Dfg &graph, const ResourceModel &model)
     : graph_(graph), model_(model),
-      numClusters_(model.machine().numClusters())
+      numClusters_(model.machine().numClusters()), adjacency_(graph)
 {
     const int n = graph_.numNodes();
     eligible_.resize(n);
@@ -27,7 +25,7 @@ ExactEncoder::ExactEncoder(const Dfg &graph, const ResourceModel &model)
                 eligible_[v].push_back(c);
         }
         maxLatency_ = std::max(maxLatency_, graph_.node(v).latency);
-        for (const NodeId succ : graph_.successors(v)) {
+        for (const NodeId succ : adjacency_.succs(v)) {
             if (succ != v)
                 copyCapable_[v] = 1;
         }
@@ -125,34 +123,64 @@ ExactEncoder::fastHorizon(int ii) const
 SatLit
 ExactEncoder::clusterLit(NodeId v, ClusterId c) const
 {
-    cams_assert(cluster_[v][c] >= 0, "no cluster var");
-    return mkLit(cluster_[v][c]);
+    const SatVar var = cluster_[static_cast<size_t>(v) * numClusters_ + c];
+    cams_assert(var >= 0, "no cluster var");
+    return mkLit(var);
 }
 
 SatLit
 ExactEncoder::orderLit(NodeId v, int t) const
 {
-    return mkLit(order_[v][t]);
+    return mkLit(orderOf(v)[t]);
 }
 
-SatLit
-ExactEncoder::copyOrderLit(NodeId v, int t) const
+const SatVar *
+ExactEncoder::orderOf(NodeId v) const
 {
-    return mkLit(copyOrder_[v][t]);
+    return order_.data() + static_cast<size_t>(v) * horizon_;
+}
+
+const SatVar *
+ExactEncoder::copyOrderOf(NodeId v) const
+{
+    return copyOrder_.data() + static_cast<size_t>(v) * horizon_;
 }
 
 void
-ExactEncoder::addPrecedence(SatSolver &solver,
-                            const std::vector<SatVar> &fromOrder,
-                            const std::vector<SatVar> &toOrder, int lag,
-                            const std::vector<SatLit> &cond)
+ExactEncoder::makeOrderChain(SatSolver &solver, SatVar *slots, int asap)
 {
     const int T = horizon_;
-    std::vector<SatLit> base;
-    base.reserve(cond.size() + 2);
-    for (const SatLit l : cond)
-        base.push_back(~l);
+    for (int t = 1; t < T; ++t)
+        slots[t] = solver.newVar();
+    for (int t = 1; t + 1 < T; ++t)
+        solver.addClause(~mkLit(slots[t + 1]), mkLit(slots[t]));
+    if (asap >= 1)
+        solver.addClause(mkLit(slots[std::min(asap, T - 1)]));
+}
 
+void
+ExactEncoder::makeRows(SatSolver &solver, const SatVar *slots,
+                       SatVar *rows)
+{
+    const int T = horizon_;
+    for (int r = 0; r < ii_ && r < T; ++r)
+        rows[r] = solver.newVar();
+    for (int t = 0; t < T; ++t) {
+        clause_.clear();
+        if (t > 0)
+            clause_.push_back(~mkLit(slots[t]));
+        if (t + 1 < T)
+            clause_.push_back(mkLit(slots[t + 1]));
+        clause_.push_back(mkLit(rows[t % ii_]));
+        solver.addClause(clause_);
+    }
+}
+
+void
+ExactEncoder::addPrecedence(SatSolver &solver, const SatVar *fromOrder,
+                            const SatVar *toOrder, int lag, SatLit cond)
+{
+    const int T = horizon_;
     // "from >= t  ->  to >= t + lag" for every t; the order chains
     // make one clause per t sufficient. t with t+lag <= 0 is vacuous;
     // t+lag >= horizon caps `from` below t instead (and the chain
@@ -161,52 +189,91 @@ ExactEncoder::addPrecedence(SatSolver &solver,
         const int target = t + lag;
         if (target <= 0)
             continue;
-        std::vector<SatLit> clause = base;
+        clause_.clear();
+        clause_.push_back(~cond);
         if (t > 0)
-            clause.push_back(~mkLit(fromOrder[t]));
+            clause_.push_back(~mkLit(fromOrder[t]));
         if (target >= T) {
-            solver.addClause(clause);
+            solver.addClause(clause_);
             break;
         }
-        clause.push_back(mkLit(toOrder[target]));
-        solver.addClause(clause);
+        clause_.push_back(mkLit(toOrder[target]));
+        solver.addClause(clause_);
     }
 }
 
-void
-ExactEncoder::atMostK(SatSolver &solver,
-                      const std::vector<SatLit> &lits, int k)
+SatVar
+ExactEncoder::sameVar(SatSolver &solver, NodeId u, NodeId w)
 {
-    const int n = static_cast<int>(lits.size());
+    SatVar &same =
+        samePair_[static_cast<size_t>(u) * graph_.numNodes() + w];
+    if (same >= 0)
+        return same;
+    same = solver.newVar();
+    // same <-> OR_c (u on c AND w on c), via one aux per shared c.
+    clause_.clear();
+    clause_.push_back(~mkLit(same));
+    for (const ClusterId c : eligible_[u]) {
+        if (cluster_[static_cast<size_t>(w) * numClusters_ + c] < 0)
+            continue;
+        const SatVar both = solver.newVar();
+        solver.addClause(~mkLit(both), clusterLit(u, c));
+        solver.addClause(~mkLit(both), clusterLit(w, c));
+        solver.addClause(~clusterLit(u, c), ~clusterLit(w, c),
+                         mkLit(both));
+        solver.addClause(~mkLit(both), mkLit(same));
+        clause_.push_back(mkLit(both));
+    }
+    solver.addClause(clause_);
+    return same;
+}
+
+void
+ExactEncoder::usage(SatSolver &solver, PoolId pool, int row,
+                    std::initializer_list<SatLit> conds)
+{
+    const SatVar used = solver.newVar();
+    clause_.clear();
+    for (const SatLit l : conds)
+        clause_.push_back(~l);
+    clause_.push_back(mkLit(used));
+    solver.addClause(clause_);
+    usage_.emplace_back(pool * ii_ + row, mkLit(used));
+}
+
+void
+ExactEncoder::atMostK(SatSolver &solver, const SatLit *lits, int n,
+                      int k)
+{
     if (n <= k)
         return;
     if (k <= 0) {
-        for (const SatLit l : lits)
-            solver.addClause(~l);
+        for (int i = 0; i < n; ++i)
+            solver.addClause(~lits[i]);
         return;
     }
-    // Sinz sequential counter: reg[i][j] = "at least j+1 of the
+    // Sinz sequential counter: reg(i, j) = "at least j+1 of the
     // first i+1 literals are true", rows for all but the last lit.
-    std::vector<std::vector<SatVar>> reg(
-        n - 1, std::vector<SatVar>(k, -1));
-    for (auto &row : reg)
-        for (SatVar &var : row)
-            var = solver.newVar();
+    counter_.resize(static_cast<size_t>(n - 1) * k);
+    for (SatVar &var : counter_)
+        var = solver.newVar();
+    auto reg = [&](int i, int j) {
+        return mkLit(counter_[static_cast<size_t>(i) * k + j]);
+    };
 
-    solver.addClause(~lits[0], mkLit(reg[0][0]));
+    solver.addClause(~lits[0], reg(0, 0));
     for (int j = 1; j < k; ++j)
-        solver.addClause(~mkLit(reg[0][j]));
+        solver.addClause(~reg(0, j));
     for (int i = 1; i < n - 1; ++i) {
-        solver.addClause(~lits[i], mkLit(reg[i][0]));
-        solver.addClause(~mkLit(reg[i - 1][0]), mkLit(reg[i][0]));
+        solver.addClause(~lits[i], reg(i, 0));
+        solver.addClause(~reg(i - 1, 0), reg(i, 0));
         for (int j = 1; j < k; ++j) {
-            solver.addClause(~lits[i], ~mkLit(reg[i - 1][j - 1]),
-                             mkLit(reg[i][j]));
-            solver.addClause(~mkLit(reg[i - 1][j]), mkLit(reg[i][j]));
+            solver.addClause(~lits[i], ~reg(i - 1, j - 1), reg(i, j));
+            solver.addClause(~reg(i - 1, j), reg(i, j));
         }
-        solver.addClause(~lits[i], ~mkLit(reg[i - 1][k - 1]));
+        solver.addClause(~lits[i], ~reg(i - 1, k - 1));
     }
-    solver.addClause(~lits[n - 1], ~mkLit(reg[n - 2][k - 1]));
+    solver.addClause(~lits[n - 1], ~reg(n - 2, k - 1));
 }
 
 bool
@@ -221,39 +288,46 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     const int n = graph_.numNodes();
     const int C = numClusters_;
     const int T = horizon;
-    const std::vector<SatLit> always; // empty condition
+    const size_t nc = static_cast<size_t>(n) * C;
+    const size_t nt = static_cast<size_t>(n) * T;
+    const size_t nr = static_cast<size_t>(n) * ii;
 
-    cluster_.assign(n, std::vector<SatVar>(C, -1));
-    order_.assign(n, {});
+    cluster_.assign(nc, -1);
+    order_.assign(nt, -1);
     copyActive_.assign(n, -1);
-    copyNeed_.assign(n, std::vector<SatVar>(C, -1));
-    copyOrder_.assign(n, {});
+    copyNeed_.assign(nc, -1);
+    copyOrder_.assign(nt, -1);
+    row_.assign(nr, -1);
+    copyRow_.assign(nr, -1);
+    samePair_.assign(static_cast<size_t>(n) * n, -1);
+    dstMark_.assign(C, 0);
+    usage_.clear();
 
     // Infeasible at any II / at this II: a contradictory instance is
     // the honest encoding (the UNSAT answer is genuine).
     if (positiveZeroCycle_) {
-        solver.addClause(std::vector<SatLit>{});
+        solver.addClause(nullptr, 0);
         return true;
     }
     for (const DfgEdge &e : graph_.edges()) {
         if (e.src == e.dst &&
             e.latency - static_cast<long>(ii) * e.distance > 0) {
-            solver.addClause(std::vector<SatLit>{});
+            solver.addClause(nullptr, 0);
             return true;
         }
     }
 
     // --- Cluster assignment: exactly-one over eligible clusters. ---
     for (NodeId v = 0; v < n; ++v) {
-        std::vector<SatLit> alo;
+        clause_.clear();
         for (const ClusterId c : eligible_[v]) {
-            cluster_[v][c] = solver.newVar();
-            alo.push_back(clusterLit(v, c));
+            cluster_[static_cast<size_t>(v) * C + c] = solver.newVar();
+            clause_.push_back(clusterLit(v, c));
         }
-        solver.addClause(alo);
-        for (size_t i = 0; i < alo.size(); ++i)
-            for (size_t j = i + 1; j < alo.size(); ++j)
-                solver.addClause(~alo[i], ~alo[j]);
+        solver.addClause(clause_);
+        for (size_t i = 0; i < clause_.size(); ++i)
+            for (size_t j = i + 1; j < clause_.size(); ++j)
+                solver.addClause(~clause_[i], ~clause_[j]);
     }
 
     // Value-precedence symmetry breaking on interchangeable clusters:
@@ -267,83 +341,53 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     if (identicalClusters_ && uniformEligibility && C > 1) {
         for (NodeId v = 0; v < n; ++v) {
             for (int k = 1; k < C; ++k) {
-                std::vector<SatLit> clause{~clusterLit(v, k)};
+                clause_.clear();
+                clause_.push_back(~clusterLit(v, k));
                 for (NodeId u = 0; u < v; ++u)
-                    clause.push_back(clusterLit(u, k - 1));
-                solver.addClause(clause);
+                    clause_.push_back(clusterLit(u, k - 1));
+                solver.addClause(clause_);
             }
         }
     }
 
     // --- Time: order variables with ladder chains + ASAP bounds. ---
-    auto makeOrderChain = [&](std::vector<SatVar> &slots, int asap) {
-        slots.assign(T, -1);
-        for (int t = 1; t < T; ++t)
-            slots[t] = solver.newVar();
-        for (int t = 1; t + 1 < T; ++t)
-            solver.addClause(~mkLit(slots[t + 1]), mkLit(slots[t]));
-        if (asap >= 1)
-            solver.addClause(mkLit(slots[std::min(asap, T - 1)]));
-    };
     for (NodeId v = 0; v < n; ++v)
-        makeOrderChain(order_[v], asap_[v]);
+        makeOrderChain(solver, &order_[static_cast<size_t>(v) * T],
+                       asap_[v]);
 
     // --- Copy machinery (annotatePartition semantics, broadcast). ---
     for (NodeId v = 0; v < n; ++v) {
         if (!copyCapable_[v])
             continue;
         copyActive_[v] = solver.newVar();
-        makeOrderChain(copyOrder_[v],
+        makeOrderChain(solver, &copyOrder_[static_cast<size_t>(v) * T],
                        asap_[v] + std::max(graph_.node(v).latency, 0));
-        std::set<ClusterId> dstUniverse;
-        for (const NodeId succ : graph_.successors(v)) {
+        // Destination universe: every cluster some consumer may use,
+        // ascending.
+        for (const NodeId succ : adjacency_.succs(v)) {
             if (succ == v)
                 continue;
             for (const ClusterId c : eligible_[succ])
-                dstUniverse.insert(c);
+                dstMark_[c] = 1;
         }
-        for (const ClusterId d : dstUniverse) {
-            copyNeed_[v][d] = solver.newVar();
-            solver.addClause(~mkLit(copyNeed_[v][d]),
-                             mkLit(copyActive_[v]));
+        for (ClusterId d = 0; d < C; ++d) {
+            if (!dstMark_[d])
+                continue;
+            dstMark_[d] = 0;
+            SatVar &need = copyNeed_[static_cast<size_t>(v) * C + d];
+            need = solver.newVar();
+            solver.addClause(~mkLit(need), mkLit(copyActive_[v]));
         }
         // The copy reads v's result: issue no earlier than v + lat.
-        addPrecedence(solver, order_[v], copyOrder_[v],
-                      graph_.node(v).latency,
-                      {mkLit(copyActive_[v])});
+        addPrecedence(solver, orderOf(v), copyOrderOf(v),
+                      graph_.node(v).latency, mkLit(copyActive_[v]));
     }
-
-    // --- Same-cluster indicators per producer/consumer pair. ---
-    std::map<std::pair<NodeId, NodeId>, SatVar> samePair;
-    auto sameVar = [&](NodeId u, NodeId w) {
-        const auto key = std::make_pair(u, w);
-        const auto it = samePair.find(key);
-        if (it != samePair.end())
-            return it->second;
-        const SatVar same = solver.newVar();
-        // same <-> OR_c (u on c AND w on c), via one aux per shared c.
-        std::vector<SatLit> any{~mkLit(same)};
-        for (const ClusterId c : eligible_[u]) {
-            if (cluster_[w][c] < 0)
-                continue;
-            const SatVar both = solver.newVar();
-            solver.addClause(~mkLit(both), clusterLit(u, c));
-            solver.addClause(~mkLit(both), clusterLit(w, c));
-            solver.addClause(~clusterLit(u, c), ~clusterLit(w, c),
-                             mkLit(both));
-            solver.addClause(~mkLit(both), mkLit(same));
-            any.push_back(mkLit(both));
-        }
-        solver.addClause(any);
-        samePair.emplace(key, same);
-        return same;
-    };
 
     // --- Dependence edges: timing + copy forcing. ---
     for (const DfgEdge &e : graph_.edges()) {
         if (e.src == e.dst)
             continue; // recurrence feasibility handled above
-        const SatLit same = mkLit(sameVar(e.src, e.dst));
+        const SatLit same = mkLit(sameVar(solver, e.src, e.dst));
         const long lag = e.latency - static_cast<long>(ii) * e.distance;
         const long crossLag = 1 - static_cast<long>(ii) * e.distance;
         const int clampedLag =
@@ -351,66 +395,42 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
         const int clampedCross =
             static_cast<int>(std::clamp<long>(crossLag, -T, T));
         // Same cluster: the original edge as-is.
-        addPrecedence(solver, order_[e.src], order_[e.dst], clampedLag,
-                      {same});
+        addPrecedence(solver, orderOf(e.src), orderOf(e.dst), clampedLag,
+                      same);
         // Cross cluster: producer -> copy -> consumer, copy latency 1
         // at the original distance (assign/exhaustive.cc semantics).
         solver.addClause(same, mkLit(copyActive_[e.src]));
-        addPrecedence(solver, copyOrder_[e.src], order_[e.dst],
-                      clampedCross, {~same});
+        addPrecedence(solver, copyOrderOf(e.src), orderOf(e.dst),
+                      clampedCross, ~same);
         for (const ClusterId d : eligible_[e.dst]) {
-            std::vector<SatLit> force{~clusterLit(e.dst, d),
-                                      mkLit(copyNeed_[e.src][d])};
-            if (cluster_[e.src][d] >= 0)
-                force.push_back(clusterLit(e.src, d));
-            solver.addClause(force);
+            clause_.clear();
+            clause_.push_back(~clusterLit(e.dst, d));
+            clause_.push_back(mkLit(
+                copyNeed_[static_cast<size_t>(e.src) * C + d]));
+            if (cluster_[static_cast<size_t>(e.src) * C + d] >= 0)
+                clause_.push_back(clusterLit(e.src, d));
+            solver.addClause(clause_);
         }
     }
 
     // --- Kernel rows: start = t implies row t mod II. ---
-    auto makeRows = [&](const std::vector<SatVar> &slots) {
-        std::vector<SatVar> rows(ii, -1);
-        for (int r = 0; r < ii && r < T; ++r)
-            rows[r] = solver.newVar();
-        for (int t = 0; t < T; ++t) {
-            std::vector<SatLit> clause;
-            if (t > 0)
-                clause.push_back(~mkLit(slots[t]));
-            if (t + 1 < T)
-                clause.push_back(mkLit(slots[t + 1]));
-            clause.push_back(mkLit(rows[t % ii]));
-            solver.addClause(clause);
-        }
-        return rows;
-    };
-    std::vector<std::vector<SatVar>> row(n), copyRow(n);
     for (NodeId v = 0; v < n; ++v) {
-        row[v] = makeRows(order_[v]);
+        const size_t base = static_cast<size_t>(v) * ii;
+        makeRows(solver, orderOf(v), &row_[base]);
         if (copyCapable_[v])
-            copyRow[v] = makeRows(copyOrder_[v]);
+            makeRows(solver, copyOrderOf(v), &copyRow_[base]);
     }
 
     // --- Resource usage literals, grouped per (pool, row). ---
-    std::vector<std::vector<std::vector<SatLit>>> poolRow(
-        model_.numPools(),
-        std::vector<std::vector<SatLit>>(ii));
-    auto usage = [&](PoolId pool, int r,
-                     const std::vector<SatLit> &conds) {
-        const SatVar used = solver.newVar();
-        std::vector<SatLit> imply;
-        for (const SatLit l : conds)
-            imply.push_back(~l);
-        imply.push_back(mkLit(used));
-        solver.addClause(imply);
-        poolRow[pool][r].push_back(mkLit(used));
-    };
-
     for (NodeId v = 0; v < n; ++v) {
         const FuClass cls = opcodeFuClass(graph_.node(v).op);
+        const SatVar *rows = &row_[static_cast<size_t>(v) * ii];
+        const SatVar *copyRows = &copyRow_[static_cast<size_t>(v) * ii];
         for (const ClusterId c : eligible_[v]) {
             const PoolId pool = model_.fuPool(c, cls);
             for (int r = 0; r < ii && r < T; ++r)
-                usage(pool, r, {clusterLit(v, c), mkLit(row[v][r])});
+                usage(solver, pool, r,
+                      {clusterLit(v, c), mkLit(rows[r])});
         }
         if (!copyCapable_[v])
             continue;
@@ -423,48 +443,62 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
                 continue;
             }
             for (int r = 0; r < ii && r < T; ++r)
-                usage(read, r,
-                      {active, clusterLit(v, c),
-                       mkLit(copyRow[v][r])});
+                usage(solver, read, r,
+                      {active, clusterLit(v, c), mkLit(copyRows[r])});
         }
         const PoolId bus = model_.busPool();
         if (bus == invalidPool) {
             solver.addClause(~active); // busless: no transfers at all
         } else {
             for (int r = 0; r < ii && r < T; ++r)
-                usage(bus, r, {active, mkLit(copyRow[v][r])});
+                usage(solver, bus, r, {active, mkLit(copyRows[r])});
         }
         for (ClusterId d = 0; d < C; ++d) {
-            if (copyNeed_[v][d] < 0)
+            const SatVar need = copyNeed_[static_cast<size_t>(v) * C + d];
+            if (need < 0)
                 continue;
             const PoolId write = model_.writePool(d);
             if (write == invalidPool) {
-                solver.addClause(~mkLit(copyNeed_[v][d]));
+                solver.addClause(~mkLit(need));
                 continue;
             }
             for (int r = 0; r < ii && r < T; ++r)
-                usage(write, r,
-                      {mkLit(copyNeed_[v][d]), mkLit(copyRow[v][r])});
+                usage(solver, write, r,
+                      {mkLit(need), mkLit(copyRows[r])});
         }
     }
-    for (PoolId pool = 0; pool < model_.numPools(); ++pool)
-        for (int r = 0; r < ii; ++r)
-            atMostK(solver, poolRow[pool][r], model_.capacity(pool));
+    // Counting sort of the usage literals into (pool, row) buckets,
+    // keeping emission order inside each bucket.
+    const int buckets = model_.numPools() * ii;
+    bucketStart_.assign(buckets + 1, 0);
+    for (const auto &[bucket, lit] : usage_)
+        ++bucketStart_[bucket + 1];
+    for (int b = 0; b < buckets; ++b)
+        bucketStart_[b + 1] += bucketStart_[b];
+    bucketFill_.assign(bucketStart_.begin(), bucketStart_.end() - 1);
+    bucketLits_.resize(usage_.size());
+    for (const auto &[bucket, lit] : usage_)
+        bucketLits_[bucketFill_[bucket]++] = lit;
+    for (int b = 0; b < buckets; ++b) {
+        atMostK(solver, bucketLits_.data() + bucketStart_[b],
+                bucketStart_[b + 1] - bucketStart_[b],
+                model_.capacity(b / ii));
+    }
 
     // --- Anchor: some node starts at cycle 0. Any schedule shifts
     // uniformly (rows permute, dependences keep their slack) to meet
     // this, and it prunes the T-fold shift symmetry from the search.
-    std::vector<SatLit> anchor;
+    clause_.clear();
     for (NodeId v = 0; v < n; ++v)
-        anchor.push_back(~mkLit(order_[v][1]));
-    solver.addClause(anchor);
+        clause_.push_back(~orderLit(v, 1));
+    solver.addClause(clause_);
 
     return true;
 }
 
 int
 ExactEncoder::decodeStart(const SatSolver &solver,
-                          const std::vector<SatVar> &order) const
+                          const SatVar *order) const
 {
     int start = 0;
     for (int t = 1; t < horizon_; ++t) {
@@ -483,7 +517,8 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
     std::vector<ClusterId> clusterOf(n, invalidCluster);
     for (NodeId v = 0; v < n; ++v) {
         for (const ClusterId c : eligible_[v]) {
-            if (solver.value(cluster_[v][c])) {
+            if (solver.value(
+                    cluster_[static_cast<size_t>(v) * numClusters_ + c])) {
                 clusterOf[v] = c;
                 break;
             }
@@ -507,36 +542,43 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
     schedule.ii = ii_;
     schedule.startCycle.resize(n, 0);
     for (NodeId v = 0; v < n; ++v)
-        schedule.startCycle[v] = decodeStart(solver, order_[v]);
+        schedule.startCycle[v] = decodeStart(solver, orderOf(v));
 
-    std::vector<std::vector<NodeId>> serving(
-        n, std::vector<NodeId>(numClusters_, invalidNode));
+    // serving[v * C + dst] = copy delivering v's value to dst.
+    const int C = numClusters_;
+    std::vector<NodeId> serving(static_cast<size_t>(n) * C, invalidNode);
+    std::vector<char> reached(C);
     for (NodeId v = 0; v < n; ++v) {
-        std::set<ClusterId> dstSet;
-        for (const NodeId succ : graph_.successors(v)) {
+        std::fill(reached.begin(), reached.end(), 0);
+        for (const NodeId succ : adjacency_.succs(v)) {
             if (succ != v && clusterOf[succ] != clusterOf[v])
-                dstSet.insert(clusterOf[succ]);
+                reached[clusterOf[succ]] = 1;
         }
-        if (dstSet.empty())
+        std::vector<ClusterId> dsts;
+        for (ClusterId c = 0; c < C; ++c) {
+            if (reached[c])
+                dsts.push_back(c);
+        }
+        if (dsts.empty())
             continue;
         const NodeId copy = loop.graph.addNode(
             Opcode::Copy, 1, "cp_" + graph_.node(v).name);
-        loop.placement.push_back(
-            {clusterOf[v],
-             std::vector<ClusterId>(dstSet.begin(), dstSet.end())});
+        for (const ClusterId dst : dsts)
+            serving[static_cast<size_t>(v) * C + dst] = copy;
+        loop.placement.push_back({clusterOf[v], std::move(dsts)});
         loop.graph.addEdge(v, copy, graph_.node(v).latency, 0);
-        for (const ClusterId dst : dstSet)
-            serving[v][dst] = copy;
         schedule.startCycle.push_back(
-            decodeStart(solver, copyOrder_[v]));
+            decodeStart(solver, copyOrderOf(v)));
     }
     for (const DfgEdge &edge : graph_.edges()) {
         if (clusterOf[edge.src] == clusterOf[edge.dst]) {
             loop.graph.addEdge(edge.src, edge.dst, edge.latency,
                                edge.distance);
         } else {
-            loop.graph.addEdge(serving[edge.src][clusterOf[edge.dst]],
-                               edge.dst, 1, edge.distance);
+            loop.graph.addEdge(
+                serving[static_cast<size_t>(edge.src) * C +
+                        clusterOf[edge.dst]],
+                edge.dst, 1, edge.distance);
         }
     }
 }

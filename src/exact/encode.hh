@@ -41,11 +41,14 @@
 #ifndef CAMS_EXACT_ENCODE_HH
 #define CAMS_EXACT_ENCODE_HH
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assign/assignment.hh"
 #include "exact/sat.hh"
+#include "graph/adjacency.hh"
 #include "graph/dfg.hh"
 #include "mrt/mrt.hh"
 #include "sched/schedule.hh"
@@ -96,26 +99,39 @@ class ExactEncoder
   private:
     SatLit clusterLit(NodeId v, ClusterId c) const;
     SatLit orderLit(NodeId v, int t) const;     ///< start(v) >= t
-    SatLit copyOrderLit(NodeId v, int t) const; ///< copyStart(v) >= t
 
-    /** t(to) >= t(from) + lag whenever all of @p cond are true. */
-    void addPrecedence(SatSolver &solver,
-                       const std::vector<SatVar> &fromOrder,
-                       const std::vector<SatVar> &toOrder, int lag,
-                       const std::vector<SatLit> &cond);
+    /** Node v's order (or copy order) chain: [t], t >= 1. */
+    const SatVar *orderOf(NodeId v) const;
+    const SatVar *copyOrderOf(NodeId v) const;
+
+    /** The order chain of a start time; vars for t in [1, horizon). */
+    void makeOrderChain(SatSolver &solver, SatVar *slots, int asap);
+
+    /** Row indicators of an order chain: start = t implies row t % II. */
+    void makeRows(SatSolver &solver, const SatVar *slots, SatVar *rows);
+
+    /** t(to) >= t(from) + lag whenever @p cond is true. */
+    void addPrecedence(SatSolver &solver, const SatVar *fromOrder,
+                       const SatVar *toOrder, int lag, SatLit cond);
+
+    /** Same-cluster indicator of a producer/consumer pair (memoized). */
+    SatVar sameVar(SatSolver &solver, NodeId u, NodeId w);
+
+    /** One usage literal of (pool, row), implied by all of @p conds. */
+    void usage(SatSolver &solver, PoolId pool, int row,
+               std::initializer_list<SatLit> conds);
 
     /** Sinz sequential at-most-k over the literals. */
-    static void atMostK(SatSolver &solver,
-                        const std::vector<SatLit> &lits, int k);
+    void atMostK(SatSolver &solver, const SatLit *lits, int n, int k);
 
-    int decodeStart(const SatSolver &solver,
-                    const std::vector<SatVar> &order) const;
+    int decodeStart(const SatSolver &solver, const SatVar *order) const;
 
     const Dfg &graph_;
     const ResourceModel &model_;
     int numClusters_ = 0;
 
     // II-independent facts, computed once.
+    Adjacency adjacency_;
     std::vector<std::vector<ClusterId>> eligible_;
     std::vector<int> asap_;       ///< d=0 longest-path lower bounds
     std::vector<char> copyCapable_; ///< has a non-self successor
@@ -123,14 +139,29 @@ class ExactEncoder
     bool positiveZeroCycle_ = false; ///< infeasible at every II
     int maxLatency_ = 1;
 
-    // Per-encode state (rebuilt by every encode call).
+    // Per-encode state, rebuilt by every encode call in tables whose
+    // storage the next call reuses. Flat, row-major: [v * C + c],
+    // [v * horizon + t], [v * II + r]; -1 = no variable.
     int ii_ = 0;
     int horizon_ = 0;
-    std::vector<std::vector<SatVar>> cluster_; ///< [v][c], -1 = none
-    std::vector<std::vector<SatVar>> order_;   ///< [v][t], t >= 1
-    std::vector<SatVar> copyActive_;           ///< [v], -1 = none
-    std::vector<std::vector<SatVar>> copyNeed_;  ///< [v][dst]
-    std::vector<std::vector<SatVar>> copyOrder_; ///< [v][t]
+    std::vector<SatVar> cluster_;
+    std::vector<SatVar> order_;
+    std::vector<SatVar> copyActive_; ///< [v]
+    std::vector<SatVar> copyNeed_;   ///< [v * C + dst]
+    std::vector<SatVar> copyOrder_;
+    std::vector<SatVar> row_;
+    std::vector<SatVar> copyRow_;
+    std::vector<SatVar> samePair_;   ///< [u * n + w]
+    std::vector<char> dstMark_;      ///< [c], copy destination universe
+
+    /** Usage literals in emission order, tagged pool * II + row. */
+    std::vector<std::pair<int, SatLit>> usage_;
+    /** The same literals grouped per (pool, row), emission order kept. */
+    std::vector<int> bucketStart_;
+    std::vector<int> bucketFill_;
+    std::vector<SatLit> bucketLits_;
+    std::vector<SatVar> counter_;    ///< atMostK registers
+    std::vector<SatLit> clause_;     ///< the clause being built
 };
 
 } // namespace cams

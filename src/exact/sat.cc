@@ -40,12 +40,12 @@ SatSolver::newVar()
 }
 
 SatSolver::ClauseRef
-SatSolver::pushClause(const std::vector<SatLit> &lits)
+SatSolver::pushClause(const SatLit *lits, size_t count)
 {
     const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
-    arena_.push_back(static_cast<int32_t>(lits.size()));
-    for (const SatLit l : lits)
-        arena_.push_back(l.code);
+    arena_.push_back(static_cast<int32_t>(count));
+    for (size_t i = 0; i < count; ++i)
+        arena_.push_back(lits[i].code);
     ++numClauses_;
     return ref;
 }
@@ -58,17 +58,19 @@ SatSolver::watchClause(ClauseRef c)
 }
 
 bool
-SatSolver::addClause(const std::vector<SatLit> &lits)
+SatSolver::addClause(const SatLit *lits, size_t count)
 {
     if (!ok_)
         return false;
     assert(decisionLevel() == 0);
 
     // Root-level simplification: drop false literals, detect
-    // satisfied/tautological clauses, dedupe.
-    std::vector<SatLit> out;
-    out.reserve(lits.size());
-    for (const SatLit l : lits) {
+    // satisfied/tautological clauses, dedupe -- into a member buffer,
+    // so adding a clause allocates nothing once it has grown.
+    std::vector<SatLit> &out = simplified_;
+    out.clear();
+    for (size_t i = 0; i < count; ++i) {
+        const SatLit l = lits[i];
         assert(l.valid() && l.var() < numVars());
         const int v = litValue(l);
         if (v == 1)
@@ -96,26 +98,8 @@ SatSolver::addClause(const std::vector<SatLit> &lits)
             ok_ = false;
         return ok_;
     }
-    watchClause(pushClause(out));
+    watchClause(pushClause(out.data(), out.size()));
     return true;
-}
-
-bool
-SatSolver::addClause(SatLit a)
-{
-    return addClause(std::vector<SatLit>{a});
-}
-
-bool
-SatSolver::addClause(SatLit a, SatLit b)
-{
-    return addClause(std::vector<SatLit>{a, b});
-}
-
-bool
-SatSolver::addClause(SatLit a, SatLit b, SatLit c)
-{
-    return addClause(std::vector<SatLit>{a, b, c});
 }
 
 void
@@ -392,7 +376,7 @@ SatSolver::solve(const SatBudget &budget)
             if (learnt.size() == 1) {
                 enqueue(learnt[0], noClause);
             } else {
-                const ClauseRef c = pushClause(learnt);
+                const ClauseRef c = pushClause(learnt.data(), learnt.size());
                 watchClause(c);
                 enqueue(learnt[0], c);
             }

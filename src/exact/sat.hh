@@ -114,12 +114,30 @@ class SatSolver
      * dropped whole. Returns false when the solver became
      * contradictory at the root (okay() goes false and stays false).
      */
-    bool addClause(const std::vector<SatLit> &lits);
+    bool addClause(const SatLit *lits, size_t count);
+
+    bool
+    addClause(const std::vector<SatLit> &lits)
+    {
+        return addClause(lits.data(), lits.size());
+    }
 
     /** Convenience for tiny clauses. */
-    bool addClause(SatLit a);
-    bool addClause(SatLit a, SatLit b);
-    bool addClause(SatLit a, SatLit b, SatLit c);
+    bool addClause(SatLit a) { return addClause(&a, 1); }
+
+    bool
+    addClause(SatLit a, SatLit b)
+    {
+        const SatLit lits[] = {a, b};
+        return addClause(lits, 2);
+    }
+
+    bool
+    addClause(SatLit a, SatLit b, SatLit c)
+    {
+        const SatLit lits[] = {a, b, c};
+        return addClause(lits, 3);
+    }
 
     /** False once a root-level contradiction was derived. */
     bool okay() const { return ok_; }
@@ -148,7 +166,7 @@ class SatSolver
         return SatLit{arena_[c + 1 + i]};
     }
 
-    ClauseRef pushClause(const std::vector<SatLit> &lits);
+    ClauseRef pushClause(const SatLit *lits, size_t count);
     void watchClause(ClauseRef c);
 
     // Assignment plumbing. lbool encoding: -1 unset, 0 false, 1 true.
@@ -195,6 +213,7 @@ class SatSolver
     std::vector<int> heapPos_; ///< -1 = not in heap
 
     std::vector<uint8_t> seen_; ///< analyze() scratch
+    std::vector<SatLit> simplified_; ///< addClause() scratch
     SatSolverStats stats_;
 };
 

@@ -17,10 +17,19 @@ Dfg::addNode(Opcode op, int latency, std::string name)
     node.name = std::move(name);
     if (node.name.empty())
         node.name = opcodeName(op) + std::to_string(node.id);
-    nodes_.push_back(node);
+    nodes_.push_back(std::move(node));
     out_.emplace_back();
     in_.emplace_back();
-    return node.id;
+    return nodes_.back().id;
+}
+
+void
+Dfg::reserve(int nodes, int edges)
+{
+    nodes_.reserve(nodes);
+    out_.reserve(nodes);
+    in_.reserve(nodes);
+    edges_.reserve(edges);
 }
 
 EdgeId

@@ -73,6 +73,9 @@ class Dfg
     EdgeId addEdge(NodeId src, NodeId dst, int latency = -1,
                    int distance = 0);
 
+    /** Pre-sizes the node and edge tables for a graph of known size. */
+    void reserve(int nodes, int edges);
+
     /** Number of nodes. */
     int numNodes() const { return static_cast<int>(nodes_.size()); }
 

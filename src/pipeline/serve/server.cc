@@ -112,15 +112,15 @@ CamsServer::start(std::string &error)
 void
 CamsServer::requestDrain()
 {
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        if (draining_)
-            return;
-        draining_ = true;
-    }
-    // Unblocks acceptLoop; already-queued work keeps flowing.
-    listener_.close();
     std::lock_guard<std::mutex> lock(queueMutex_);
+    if (draining_)
+        return;
+    draining_ = true;
+    // Unblocks acceptLoop without closing the fd it is blocked on
+    // (stop() closes it after joining the accept thread); holding the
+    // lock orders this before a concurrent stop(). Already-queued
+    // work keeps flowing.
+    listener_.shutdown();
     notifyIfDrained();
 }
 
@@ -153,6 +153,7 @@ CamsServer::stop()
         watchdogThread_.join();
     if (acceptThread_.joinable())
         acceptThread_.join();
+    listener_.close();
     {
         std::unique_lock<std::mutex> lock(connMutex_);
         for (const std::shared_ptr<Conn> &conn : conns_) {
@@ -461,12 +462,13 @@ CamsServer::connectionLoop(std::shared_ptr<Conn> conn)
     dropConnection(conn);
     conn->alive.store(false);
     conn->fd.shutdownBoth();
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        --activeReaders_;
-        conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-                     conns_.end());
-    }
+    // Notify under the lock: once stop() sees activeReaders_ == 0 it
+    // may return and let ~CamsServer destroy readersDone_, so the
+    // notify must finish before this thread lets go of connMutex_.
+    std::lock_guard<std::mutex> lock(connMutex_);
+    --activeReaders_;
+    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
+                 conns_.end());
     readersDone_.notify_all();
 }
 

@@ -258,14 +258,20 @@ UnixListener::acceptFd(std::string &error)
 }
 
 void
+UnixListener::shutdown()
+{
+    fd_.shutdownBoth();
+    if (!path_.empty())
+        ::unlink(path_.c_str());
+}
+
+void
 UnixListener::close()
 {
     if (!fd_.valid())
         return;
-    fd_.shutdownBoth();
+    shutdown();
     fd_.close();
-    if (!path_.empty())
-        ::unlink(path_.c_str());
 }
 
 SocketFd

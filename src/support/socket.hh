@@ -118,7 +118,14 @@ class UnixListener
      */
     int acceptFd(std::string &error);
 
-    /** Unblocks acceptFd() and closes; unlinks the socket file. */
+    /**
+     * Unblocks acceptFd() and unlinks the socket file, but keeps the
+     * fd open: a thread blocked in acceptFd() may still be reading
+     * it. Close only after that thread has been joined.
+     */
+    void shutdown();
+
+    /** shutdown(), then closes the fd. */
     void close();
 
     bool valid() const { return fd_.valid(); }

@@ -59,14 +59,16 @@ expectSameResult(const CompileResult &a, const CompileResult &b)
 /** Compiles the suite with and without the incremental layer and
  *  demands byte-identical outcomes, loop by loop. */
 void
-runDeterminismSweep(SchedulerKind kind, bool clustered)
+runDeterminismSweep(SchedulerKind kind, bool clustered,
+                    const MachineDesc &machine = busedGpMachine(2, 2, 1),
+                    const AssignOptions &assign = {})
 {
     const std::vector<Dfg> suite = buildSuite(48, 0xAB12CD34ULL);
-    const MachineDesc machine = busedGpMachine(2, 2, 1);
     const MachineDesc unified = machine.unifiedEquivalent();
 
     CompileOptions cached;
     cached.scheduler = kind;
+    cached.assign = assign;
     cached.incremental = true;
     CompileOptions scratch = cached;
     scratch.incremental = false;
@@ -101,6 +103,51 @@ TEST(AbDeterminism, UnifiedSwing)
 TEST(AbDeterminism, UnifiedIterative)
 {
     runDeterminismSweep(SchedulerKind::Iterative, false);
+}
+
+/**
+ * The four assignment variants of the paper's Figures 12/13 on one
+ * machine. The from-scratch arm rescans the graph for every §4.2
+ * prediction, so it checks the incremental arm's running counts on
+ * every kind of interconnect: broadcast buses with GP or FS units,
+ * and the point-to-point grid with its C - RC - 1 bound and relay
+ * hop chains.
+ */
+void
+runVariantSweep(const MachineDesc &machine)
+{
+    for (const bool iterative : {true, false}) {
+        for (const bool full : {true, false}) {
+            SCOPED_TRACE(machine.name +
+                         (iterative ? " iterative" : " one-pass") +
+                         (full ? " heuristic" : " simple"));
+            AssignOptions assign;
+            assign.iterative = iterative;
+            assign.fullHeuristic = full;
+            runDeterminismSweep(SchedulerKind::Swing, true, machine,
+                                assign);
+        }
+    }
+}
+
+TEST(AbDeterminism, VariantsOnTwoClusters)
+{
+    runVariantSweep(busedGpMachine(2, 2, 1));
+}
+
+TEST(AbDeterminism, VariantsOnFourClusters)
+{
+    runVariantSweep(busedGpMachine(4, 4, 2));
+}
+
+TEST(AbDeterminism, VariantsOnBusedFullySpecialized)
+{
+    runVariantSweep(busedFsMachine(2, 2, 1));
+}
+
+TEST(AbDeterminism, VariantsOnGrid)
+{
+    runVariantSweep(gridMachine());
 }
 
 void

@@ -572,6 +572,38 @@ TEST_F(ServeTest, PingPongRoundTrips)
     server->stop();
 }
 
+TEST_F(ServeTest, RepeatedStopWithLiveConnections)
+{
+    // Shutdown with readers still attached, over and over on one
+    // socket path: stop() must wake the accept thread without
+    // closing its fd under it, and must not return (letting the
+    // server be destroyed) while a reader still signals it.
+    ServeConfig config;
+    config.socketPath = testSocket("restart");
+    config.workers = 1;
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE(round);
+        startServer(config);
+        std::vector<ServeClient> clients(3);
+        std::string error;
+        for (size_t i = 0; i < clients.size(); ++i) {
+            ASSERT_TRUE(
+                clients[i].connect(config.socketPath, "t", error))
+                << error;
+            ASSERT_TRUE(clients[i].ping(i + 1, error)) << error;
+            ServerMsg msg;
+            ASSERT_TRUE(clients[i].readMsg(msg, error)) << error;
+            EXPECT_EQ(msg.type, ServeMsgType::Pong);
+        }
+        // One request still queued or compiling at stop time.
+        ASSERT_TRUE(clients[0].submit(makeSubmit(100 + round, round),
+                                      error))
+            << error;
+        server->stop();
+        server.reset();
+    }
+}
+
 TEST(ServeProto, SanitizeTenantMapsHostileNames)
 {
     EXPECT_EQ(sanitizeTenant(""), "default");
