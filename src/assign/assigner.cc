@@ -11,8 +11,6 @@
 #include "assign/selector.hh"
 #include "graph/analysis.hh"
 #include "graph/scc.hh"
-#include "order/scc_sets.hh"
-#include "order/swing_order.hh"
 #include "pipeline/context.hh"
 #include "support/logging.hh"
 #include "support/time.hh"
@@ -72,11 +70,11 @@ struct ValueComm
  * not allocate. Copy requests are rebuilt into a scratch buffer from
  * (source, destinations) instead of being stored per reservation.
  *
- * With an Adjacency (the incremental pipeline) the state also keeps
- * the §4.2 predictions up to date as placements and copies change,
- * so the PCR <= MRC and incoming-copy filters read one counter per
- * cluster; without one it rescans the graph per query, the original
- * formulation the A/B determinism tests compare against.
+ * The state also keeps the §4.2 predictions up to date as placements
+ * and copies change, so the PCR <= MRC and incoming-copy filters read
+ * one counter per cluster. Debug builds (no NDEBUG) re-derive every
+ * counter the filters read by rescanning the graph and the MRT rows,
+ * and cams_check the two against each other.
  */
 class AssignState
 {
@@ -126,8 +124,7 @@ class AssignState
           broadcast_(machine_.broadcast()),
           clusters_(machine_.numClusters()), faults_(faults), mrt_(mrt)
     {
-        // Pool lists per cluster, ascending and deduplicated like the
-        // per-call std::set in freeClusterResources.
+        // Local pool lists per cluster, ascending and deduplicated.
         clusterPools_.resize(clusters_);
         opReq_.resize(clusters_);
         for (ClusterId c = 0; c < clusters_; ++c) {
@@ -156,12 +153,12 @@ class AssignState
 
     /**
      * Clears every placement and copy for a new attempt; the caller
-     * resets the MRT. A null adjacency selects the from-scratch arm.
+     * resets the MRT.
      */
     void
-    reset(const Adjacency *adjacency)
+    reset(const Adjacency &adjacency)
     {
-        adj_ = adjacency;
+        adj_ = &adjacency;
         const int n = graph_.numNodes();
         clusterOf_.assign(n, invalidCluster);
         fuRow_.assign(n, -1);
@@ -169,8 +166,6 @@ class AssignState
             comm.live = false;
         copyOps_ = 0;
         routeMicros_ = 0;
-        if (!adj_)
-            return;
         unassignedSuccs_.assign(n, 0);
         for (NodeId v = 0; v < n; ++v) {
             for (NodeId succ : adj_->succs(v))
@@ -183,30 +178,11 @@ class AssignState
         incoming_.assign(clusters_, 0);
     }
 
-    /**
-     * The node's distinct predecessors, ascending. Reads the packed
-     * adjacency when the compile carries one; otherwise falls back to
-     * the allocating Dfg query (the pre-cache behavior), staged
-     * through a scratch buffer. Iterations of predsOf and succsOf may
-     * nest with each other but not with themselves.
-     */
-    std::span<const NodeId>
-    predsOf(NodeId node) const
-    {
-        if (adj_)
-            return adj_->preds(node);
-        predScratch_ = graph_.predecessors(node);
-        return {predScratch_.data(), predScratch_.size()};
-    }
-
-    /** The node's distinct successors, ascending (see predsOf). */
+    /** The node's distinct successors, ascending. */
     std::span<const NodeId>
     succsOf(NodeId node) const
     {
-        if (adj_)
-            return adj_->succs(node);
-        succScratch_ = graph_.successors(node);
-        return {succScratch_.data(), succScratch_.size()};
+        return adj_->succs(node);
     }
 
     ClusterId clusterOf(NodeId node) const { return clusterOf_[node]; }
@@ -262,7 +238,7 @@ class AssignState
         const Stopwatch route_watch;
         values_.clear();
         values_.push_back(node);
-        for (NodeId pred : predsOf(node)) {
+        for (NodeId pred : adj_->preds(node)) {
             if (pred != node && assigned(pred) && !inSyncFor(pred, cluster))
                 values_.push_back(pred);
         }
@@ -317,7 +293,7 @@ class AssignState
         // Predecessor values may stop crossing clusters: shrink their
         // communication. Shrinking can always be re-reserved because
         // the released slots strictly cover the new need.
-        for (NodeId pred : predsOf(node)) {
+        for (NodeId pred : adj_->preds(node)) {
             if (pred == node || !assigned(pred) ||
                 inSyncFor(pred, cluster)) {
                 continue;
@@ -337,31 +313,13 @@ class AssignState
     bool
     pcrWithinMrc(ClusterId cluster) const
     {
-        return roomFor(cluster, model_.readPool(cluster),
-                       predictedCopyRequests(cluster));
-    }
-
-    /**
-     * PCR_c: over the nodes on the cluster, each node's unassigned
-     * successors, capped by the copies its value can still add.
-     */
-    int
-    predictedCopyRequests(ClusterId cluster) const
-    {
-        if (adj_)
-            return pcr_[cluster];
-        int pcr = 0;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-            if (clusterOf_[v] != cluster)
-                continue;
-            int unassigned_succs = 0;
-            for (NodeId succ : succsOf(v)) {
-                if (succ != v && !assigned(succ))
-                    ++unassigned_succs;
-            }
-            pcr += std::min(copyBound(v), unassigned_succs);
-        }
-        return pcr;
+#ifndef NDEBUG
+        const int scanned = scanCopyRequests(cluster);
+        cams_check(pcr_[cluster] == scanned, "PCR counter of cluster ",
+                   cluster, " is ", pcr_[cluster], ", a rescan says ",
+                   scanned);
+#endif
+        return roomFor(cluster, model_.readPool(cluster), pcr_[cluster]);
     }
 
     /**
@@ -373,25 +331,14 @@ class AssignState
     bool
     incomingWithinRoom(ClusterId cluster) const
     {
+#ifndef NDEBUG
+        const int scanned = scanIncomingProducers(cluster);
+        cams_check(incoming_[cluster] == scanned,
+                   "incoming-producer counter of cluster ", cluster, " is ",
+                   incoming_[cluster], ", a rescan says ", scanned);
+#endif
         return roomFor(cluster, model_.writePool(cluster),
-                       predictedIncomingCopies(cluster));
-    }
-
-    int
-    predictedIncomingCopies(ClusterId cluster) const
-    {
-        if (adj_)
-            return incoming_[cluster];
-        std::set<NodeId> producers;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-            if (clusterOf_[v] != cluster)
-                continue;
-            for (NodeId pred : graph_.predecessors(v)) {
-                if (pred != v && !assigned(pred))
-                    producers.insert(pred);
-            }
-        }
-        return static_cast<int>(producers.size());
+                       incoming_[cluster]);
     }
 
     /**
@@ -435,26 +382,14 @@ class AssignState
     int
     freeClusterResources(ClusterId cluster) const
     {
-        if (adj_) {
-            int free = 0;
-            for (PoolId pool : clusterPools_[cluster])
-                free += mrt_.freeTotal(pool);
-            return free;
-        }
         int free = 0;
-        std::set<PoolId> pools;
-        for (int cls = 0; cls < numFuClasses; ++cls) {
-            const PoolId pool =
-                model_.fuPool(cluster, static_cast<FuClass>(cls));
-            if (pool != invalidPool)
-                pools.insert(pool);
-        }
-        if (model_.readPool(cluster) != invalidPool)
-            pools.insert(model_.readPool(cluster));
-        if (model_.writePool(cluster) != invalidPool)
-            pools.insert(model_.writePool(cluster));
-        for (PoolId pool : pools)
+        for (PoolId pool : clusterPools_[cluster])
             free += mrt_.freeTotal(pool);
+#ifndef NDEBUG
+        const int scanned = scanFreeResources(cluster);
+        cams_check(free == scanned, "free resources of cluster ", cluster,
+                   " count ", free, ", a rescan says ", scanned);
+#endif
         return free;
     }
 
@@ -479,8 +414,8 @@ class AssignState
                 }
             }
         };
-        count(predsOf(node));
-        count(succsOf(node));
+        count(adj_->preds(node));
+        count(adj_->succs(node));
         return conflicts;
     }
 
@@ -606,16 +541,14 @@ class AssignState
     }
 
     /**
-     * Incremental counts (adjacency mode), updated when the node has
-     * just been placed: its predecessors lose an unassigned successor
-     * and gain a consumer on its cluster, and the node stops being an
-     * unassigned producer for the clusters that consume it.
+     * The §4.2 counts, updated when the node has just been placed:
+     * its predecessors lose an unassigned successor and gain a
+     * consumer on its cluster, and the node stops being an unassigned
+     * producer for the clusters that consume it.
      */
     void
     placed(NodeId node)
     {
-        if (!adj_)
-            return;
         const ClusterId cluster = clusterOf_[node];
         for (NodeId pred : adj_->preds(node)) {
             if (pred == node)
@@ -638,8 +571,6 @@ class AssignState
     void
     unplaced(NodeId node, ClusterId cluster)
     {
-        if (!adj_)
-            return;
         for (NodeId pred : adj_->preds(node)) {
             if (pred == node)
                 continue;
@@ -657,6 +588,67 @@ class AssignState
         refreshPcr(node);
     }
 
+#ifndef NDEBUG
+    // The §4.2 predictions recomputed from scratch, as the debug-build
+    // oracle of the running counts: they read the Dfg's own neighbor
+    // queries and the MRT's per-row counts, and share no code with
+    // placed()/unplaced()/refreshPcr().
+
+    /**
+     * PCR_c: over the nodes on the cluster, each node's unassigned
+     * successors, capped by the copies its value can still add.
+     */
+    int
+    scanCopyRequests(ClusterId cluster) const
+    {
+        int pcr = 0;
+        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
+            if (clusterOf_[v] != cluster)
+                continue;
+            int unassigned_succs = 0;
+            for (NodeId succ : graph_.successors(v)) {
+                if (succ != v && !assigned(succ))
+                    ++unassigned_succs;
+            }
+            pcr += std::min(copyBound(v), unassigned_succs);
+        }
+        return pcr;
+    }
+
+    /** Distinct unassigned producers feeding a node on the cluster. */
+    int
+    scanIncomingProducers(ClusterId cluster) const
+    {
+        std::set<NodeId> producers;
+        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
+            if (clusterOf_[v] != cluster)
+                continue;
+            for (NodeId pred : graph_.predecessors(v)) {
+                if (pred != v && !assigned(pred))
+                    producers.insert(pred);
+            }
+        }
+        return static_cast<int>(producers.size());
+    }
+
+    /** Free slots of the cluster's distinct local pools, row by row. */
+    int
+    scanFreeResources(ClusterId cluster) const
+    {
+        std::set<PoolId> pools = {model_.readPool(cluster),
+                                  model_.writePool(cluster)};
+        for (int cls = 0; cls < numFuClasses; ++cls)
+            pools.insert(model_.fuPool(cluster, static_cast<FuClass>(cls)));
+        pools.erase(invalidPool);
+        int free = 0;
+        for (PoolId pool : pools) {
+            for (int row = 0; row < mrt_.ii(); ++row)
+                free += mrt_.freeInRow(pool, row);
+        }
+        return free;
+    }
+#endif
+
     size_t
     usesIndex(NodeId producer, ClusterId cluster) const
     {
@@ -665,13 +657,11 @@ class AssignState
 
     /**
      * Re-derives one node's PCR contribution after a change to its
-     * cluster, its unassigned successors or its RC (adjacency mode).
+     * cluster, its unassigned successors or its RC.
      */
     void
     refreshPcr(NodeId v)
     {
-        if (!adj_)
-            return;
         const ClusterId cluster = clusterOf_[v];
         const int term = cluster == invalidCluster
                              ? 0
@@ -698,7 +688,7 @@ class AssignState
 
         // Sorted-unique destination set.
         desired_.clear();
-        for (NodeId succ : succsOf(value)) {
+        for (NodeId succ : adj_->succs(value)) {
             if (succ != value && assigned(succ) &&
                 clusterOf_[succ] != src) {
                 desired_.push_back(clusterOf_[succ]);
@@ -841,7 +831,7 @@ class AssignState
     const bool broadcast_;
     const int clusters_;
     FaultInjector *faults_ = nullptr;
-    /** Packed neighbor lists, or null for the pre-cache behavior. */
+    /** Packed neighbor lists of the attempt's LoopContext. */
     const Adjacency *adj_ = nullptr;
     int64_t routeMicros_ = 0;
     Mrt &mrt_;
@@ -858,9 +848,6 @@ class AssignState
     std::vector<std::vector<PoolId>> clusterPools_;
     /** Per-(cluster, class) operation request; empty = no units. */
     std::vector<std::array<std::vector<PoolId>, numFuClasses>> opReq_;
-    /** Fallback staging for predsOf/succsOf when adj_ is null. */
-    mutable std::vector<NodeId> predScratch_;
-    mutable std::vector<NodeId> succScratch_;
     /** Reusable buffers for tryAssign / syncComm / materialize. */
     std::vector<NodeId> values_;
     std::vector<ClusterId> desired_;
@@ -870,7 +857,7 @@ class AssignState
     /** Undo log of committed placements and eviction shrinks. */
     Txn commitLog_;
 
-    /** Incremental §4.2 counts (adjacency mode only; see DESIGN §9). */
+    /** Running §4.2 counts (see DESIGN §9). */
     std::vector<int> unassignedSuccs_; ///< per node
     std::vector<int> pcrTerm_;         ///< node's share of pcr_
     std::vector<ClusterId> pcrCluster_; ///< cluster holding that share
@@ -931,16 +918,14 @@ struct ClusterAssigner::Scratch
 AssignResult
 ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
 {
+    std::optional<LoopContext> local;
+    if (!ctx)
+        ctx = &local.emplace(graph);
     const int restarts =
         options_.iterative ? std::max(1, options_.restartsPerIi) : 1;
 
-    // The context's scratch table survives restarts and II probes;
-    // without one, a run-local table does the same across restarts.
-    std::optional<Mrt> local;
-    if (!ctx)
-        local.emplace(model_, ii, options_.mrtScan);
-    Mrt &mrt = ctx ? ctx->scratchMrt(model_, ii) : *local;
-    mrt.setScanMode(options_.mrtScan);
+    // The context's scratch table survives restarts and II probes.
+    Mrt &mrt = ctx->scratchMrt(model_, ii);
     const long scan_base = mrt.wordScans();
     Scratch scratch(graph, model_, mrt, options_.faults);
 
@@ -963,7 +948,7 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
                 rotation = attempt - 1;
         }
         try {
-            result = runAttempt(graph, ii, rotation, mrt, scratch, ctx);
+            result = runAttempt(graph, ii, rotation, mrt, scratch, *ctx);
         } catch (const InternalError &err) {
             // The attempt's state is corrupt; abandon it wholesale and
             // let the next rotation start from scratch: every attempt
@@ -994,42 +979,22 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
 AssignResult
 ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                             Mrt &mrt, Scratch &scratch,
-                            LoopContext *ctx) const
+                            LoopContext &ctx) const
 {
     AssignResult result;
     const MachineDesc &machine = model_.machine();
-
-    if (ctx) {
-        ctx->checkAssignable(machine);
-    } else {
-        std::string why;
-        if (!graph.wellFormed(&why))
-            cams_fatal("assigning a malformed graph: ", why);
-        for (const DfgNode &node : graph.nodes()) {
-            if (node.op == Opcode::Copy)
-                cams_fatal("input graphs must not contain copies");
-            if (!machine.canExecute(node.op)) {
-                cams_fatal("machine '", machine.name,
-                           "' cannot execute ", opcodeName(node.op));
-            }
-        }
-    }
+    ctx.checkAssignable(machine);
 
     mrt.reset(ii);
     AssignState &state = scratch.state;
-    state.reset(ctx ? &ctx->adjacency() : nullptr);
+    state.reset(ctx.adjacency());
     const Stopwatch order_watch;
-    std::optional<SccInfo> local_sccs;
-    std::optional<NodeSets> local_sets;
-    std::optional<TimeAnalysis> local_timing;
-    const SccInfo &sccs =
-        ctx ? ctx->sccs() : local_sccs.emplace(findSccs(graph));
-    const NodeSets &sets =
-        ctx ? ctx->prioritySets()
-            : local_sets.emplace(buildPrioritySets(graph, sccs));
-    const TimeAnalysis &timing =
-        ctx ? ctx->timing(ii)
-            : local_timing.emplace(analyzeTiming(graph, ii));
+    const SccInfo &sccs = ctx.sccs();
+    // The swing order below is built from the §4.1 priority sets.
+    // Fetching them here as well costs one context hit, which the
+    // ctx_hits total gated by bench/compile_perf includes.
+    ctx.prioritySets();
+    const TimeAnalysis &timing = ctx.timing(ii);
     std::vector<NodeId> &local_order = scratch.order;
     const std::vector<NodeId> *order_ptr = &local_order;
     if (options_.policy == AssignPolicy::AcyclicBug) {
@@ -1042,11 +1007,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                              return timing.asap[a] < timing.asap[b];
                          });
     } else if (options_.useSwingOrder) {
-        if (ctx) {
-            order_ptr = &ctx->swingOrder(ii);
-        } else {
-            local_order = swingOrder(graph, sets, timing);
-        }
+        order_ptr = &ctx.swingOrder(ii);
     } else {
         // Ablation: plain id order.
         local_order.resize(graph.numNodes());
@@ -1093,52 +1054,29 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
         return out;
     };
 
-    // Unassigned nodes, highest priority (lowest rank) first. With a
-    // context the tree set becomes a rank-indexed bitmap with a
-    // moving minimum cursor: identical iteration order (ranks are a
-    // permutation, so (rank, node) pairs sort exactly like ranks),
-    // no tree rebalance or node allocation per eviction round.
+    // Unassigned nodes, highest priority (lowest rank) first: a
+    // rank-indexed bitmap with a moving minimum cursor, so eviction
+    // rounds re-queue nodes without allocating.
     const int nn = graph.numNodes();
-    std::set<std::pair<int, NodeId>> pending;
     std::vector<char> &pendingRank = scratch.pendingRank;
-    int pendingCount = 0;
+    pendingRank.assign(nn, 1);
+    int pendingCount = nn;
     int minRank = 0;
-    if (ctx) {
-        pendingRank.assign(nn, 1);
-        pendingCount = nn;
-    } else {
-        for (NodeId v = 0; v < nn; ++v)
-            pending.insert({rank[v], v});
-    }
-    auto pendingEmpty = [&] {
-        return ctx ? pendingCount == 0 : pending.empty();
-    };
     auto pendingTop = [&]() -> NodeId {
-        if (ctx) {
-            while (!pendingRank[minRank])
-                ++minRank;
-            return order[minRank];
-        }
-        return pending.begin()->second;
+        while (!pendingRank[minRank])
+            ++minRank;
+        return order[minRank];
     };
     auto pendingErase = [&](NodeId v) {
-        if (ctx) {
-            pendingRank[rank[v]] = 0;
-            --pendingCount;
-        } else {
-            pending.erase({rank[v], v});
-        }
+        pendingRank[rank[v]] = 0;
+        --pendingCount;
     };
     auto pendingInsert = [&](NodeId v) {
-        if (ctx) {
-            if (!pendingRank[rank[v]]) {
-                pendingRank[rank[v]] = 1;
-                ++pendingCount;
-            }
-            minRank = std::min(minRank, rank[v]);
-        } else {
-            pending.insert({rank[v], v});
+        if (!pendingRank[rank[v]]) {
+            pendingRank[rank[v]] = 1;
+            ++pendingCount;
         }
+        minRank = std::min(minRank, rank[v]);
     };
 
     const int clusters = machine.numClusters();
@@ -1182,7 +1120,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     };
 
     std::vector<ClusterChoice> &choices = scratch.choices;
-    while (!pendingEmpty()) {
+    while (pendingCount > 0) {
         const NodeId node = pendingTop();
         const bool in_scc = sccs.inRecurrence(node);
 

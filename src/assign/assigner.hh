@@ -103,13 +103,6 @@ struct AssignOptions
     int preferredRotation = -1;
 
     /**
-     * MRT query implementation. Word is the packed-bitmask fast path;
-     * Reference keeps the original row-counting loops (identical
-     * results, used as the A/B perf baseline).
-     */
-    MrtScanMode mrtScan = MrtScanMode::Word;
-
-    /**
      * Optional fault injector (non-owning; stress testing only).
      * Sites consulted: AssignEvictionStorm vetoes the selection
      * cascade's winner, RouterBusExhaustion fails a copy reservation.
@@ -176,7 +169,7 @@ struct AssignResult
     double orderMillis = 0.0;
     double routeMillis = 0.0;
 
-    /** MRT occupancy words examined (word-scan mode only). */
+    /** MRT occupancy words examined. */
     long wordScans = 0;
 };
 
@@ -194,11 +187,11 @@ class ClusterAssigner
      * The graph must be well formed and executable on the machine.
      * Single-cluster machines short-circuit to a trivial assignment.
      *
-     * When a LoopContext for the same graph is supplied, the
-     * II-invariant analyses (SCCs, priority sets, timing, swing
-     * order, preconditions) come from its cache and the MRT buffer is
-     * reused across restarts and II probes; the result is identical
-     * to a context-free run.
+     * The II-invariant analyses (SCCs, priority sets, timing, swing
+     * order, preconditions) come from the LoopContext, whose MRT
+     * buffer is also reused across restarts. Pass the context of the
+     * same graph to share all of it across II probes; with null the
+     * call builds a context of its own, and the result is identical.
      */
     AssignResult run(const Dfg &graph, int ii,
                      LoopContext *ctx = nullptr) const;
@@ -210,7 +203,7 @@ class ClusterAssigner
     /** One attempt with the given tie-break rotation offset. */
     AssignResult runAttempt(const Dfg &graph, int ii, int rotation,
                             Mrt &mrt, Scratch &scratch,
-                            LoopContext *ctx) const;
+                            LoopContext &ctx) const;
 
     const ResourceModel &model_;
     AssignOptions options_;

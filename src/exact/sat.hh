@@ -7,7 +7,7 @@
  *
  * The solver exists to answer the exact backend's per-II decision
  * problems (src/exact/encode.*); it is deliberately minimal -- no
- * preprocessing, no learned-clause deletion, no incremental
+ * preprocessing, no learned-clause deletion, no solving under
  * assumptions -- because the instances are rebuilt per II and die
  * with the solve. Budgets are expressed primarily as a *conflict
  * count* so that test and CI behavior is deterministic across

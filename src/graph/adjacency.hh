@@ -10,7 +10,7 @@
  *
  * Neighbor lists are byte-identical to the Dfg queries (same sort,
  * same dedup), so a caller switching between the two sees the same
- * iteration order -- the property the A/B determinism tests pin down.
+ * iteration order (tests/context_test.cc compares the two).
  */
 
 #ifndef CAMS_GRAPH_ADJACENCY_HH

@@ -65,7 +65,7 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
     };
 
     // With an adjacency the frontier and ordered-neighbor predicates
-    // are tracked incrementally: counters of pending distance-0
+    // are tracked as running state: counters of pending distance-0
     // neighbors and sticky has-ordered-neighbor flags, updated in
     // O(deg) when a node is ordered, instead of rescanning edges per
     // candidate per round. The predicates take identical values, so

@@ -104,7 +104,7 @@ struct BatchStats
     /** LoopContext facts computed fresh across all jobs. */
     long ctxMisses = 0;
 
-    /** MRT occupancy words examined by word-mode scans. */
+    /** MRT occupancy words examined by the assigner and scheduler. */
     long mrtWordScans = 0;
 
     /** Jobs served whole from the persistent compile cache. */

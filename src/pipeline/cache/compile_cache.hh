@@ -99,10 +99,8 @@ struct CacheKey
  * namespace salt (CompileOptions::cacheSalt, which also salts the
  * hint identity). Deliberately
  * excluded: trace/metrics configuration (observability never changes
- * results), the fault injector (fault-injected compiles bypass the
- * cache entirely), and the incremental flag plus MRT scan mode (both
- * proven result-identical by tests/context_test.cc, so cold and A/B
- * baseline runs share entries).
+ * results) and the fault injector (fault-injected compiles bypass the
+ * cache entirely).
  */
 CacheKey makeCacheKey(const Dfg &graph, const MachineDesc &machine,
                       const CompileOptions &options, bool clustered);

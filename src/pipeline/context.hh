@@ -13,17 +13,20 @@
  *   whole-graph RecMII, per-node resource requests, the structural
  *   assignability check.
  *
- *   II-dependent, solved incrementally: TimeAnalysis (via
- *   TimingSolver's cached acyclic seeds and pre-sorted edges), the
- *   swing order at the current II, and feasibility at an II (a single
- *   positive-cycle test per recurrence instead of the binary search,
- *   with monotone bounds remembered across probes).
+ *   II-dependent, solved from the previous probe's state:
+ *   TimeAnalysis (via TimingSolver's cached acyclic seeds and
+ *   pre-sorted edges), the swing order at the current II, and
+ *   feasibility at an II (a single positive-cycle test per recurrence
+ *   instead of the binary search, with monotone bounds remembered
+ *   across probes).
  *
- * Everything returned is byte-identical to the from-scratch
- * computation -- all cached facts are unique fixpoints or
- * deterministic function results -- so a pipeline run with contexts
- * produces exactly the same schedules as one without (the A/B
- * determinism test in tests/context_test.cc holds this invariant).
+ * Every cached fact is a unique fixpoint or a deterministic function
+ * result, equal to what the standalone analyses (findSccs,
+ * analyzeTiming, recMii, swingOrder) return for the same graph;
+ * tests/context_test.cc compares them. The context is the only way
+ * the assigner and the schedulers read these facts: a caller that
+ * passes none gets a call-local context, and the golden digests of
+ * tests/golden_test.cc pin the outputs.
  *
  * A context is single-threaded, like the compile it serves; batch
  * parallelism stays at the loop level.
@@ -66,7 +69,7 @@ class LoopContext
      * Packed neighbor lists (computed once). The assigner evaluates
      * predecessors/successors for every (node, cluster) candidate;
      * reading them as spans instead of rebuilding sorted vectors is
-     * the single largest win of the incremental pipeline.
+     * the single largest win of the context.
      */
     const Adjacency &adjacency();
 
@@ -85,7 +88,7 @@ class LoopContext
      */
     bool schedulableAt(int ii);
 
-    /** Timing analysis at the II (incremental; see TimingSolver). */
+    /** Timing analysis at the II (reuses prior solves; see TimingSolver). */
     const TimeAnalysis &timing(int ii);
 
     /** Swing order at the II (cached for the current II). */

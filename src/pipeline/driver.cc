@@ -209,14 +209,12 @@ class IiEscalator
 
     IiEscalator(const Dfg &graph, const CompileOptions &options,
                 CompileResult &result)
-        : options_(options), result_(result)
+        : options_(options), result_(result), ctx_(graph)
     {
-        if (options.incremental)
-            ctx_.emplace(graph);
     }
 
-    /** The shared context; null when the incremental path is off. */
-    LoopContext *context() { return ctx_ ? &*ctx_ : nullptr; }
+    /** The context every probe of this compile shares. */
+    LoopContext &context() { return ctx_; }
 
     /** Whether any sweep so far died on the deadline. */
     bool timedOut() const { return timedOut_; }
@@ -224,10 +222,8 @@ class IiEscalator
     /** Folds the owned context's counters into the result. */
     void foldCounters()
     {
-        if (!ctx_)
-            return;
-        result_.ctxHits += ctx_->hits();
-        result_.ctxMisses += ctx_->misses();
+        result_.ctxHits += ctx_.hits();
+        result_.ctxMisses += ctx_.misses();
     }
 
     /**
@@ -315,7 +311,7 @@ class IiEscalator
   private:
     const CompileOptions &options_;
     CompileResult &result_;
-    std::optional<LoopContext> ctx_;
+    LoopContext ctx_;
     bool timedOut_ = false;
 };
 
@@ -345,11 +341,8 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     compile_scope.arg("machine", machine.name);
 
     IiEscalator escalator(graph, options, result);
-    LoopContext *ctx = escalator.context();
-
-    const MachineDesc unified = machine.unifiedEquivalent();
-    result.mii = ctx ? computeMii(graph, unified, ctx->recMii())
-                     : computeMii(graph, unified);
+    LoopContext &ctx = escalator.context();
+    result.mii = computeMii(graph, machine.unifiedEquivalent(), ctx.recMii());
 
     const ResourceModel model(machine);
     FaultInjector *faults = options.faults.get();
@@ -359,13 +352,9 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     AssignOptions assign_options = options.assign;
     assign_options.faults = faults;
     assign_options.trace = options.trace;
-    if (!options.incremental)
-        assign_options.mrtScan = MrtScanMode::Reference;
     const ClusterAssigner assigner(model, assign_options);
     const auto scheduler = makeScheduler(options.scheduler);
     scheduler->setTrace(options.trace);
-    if (!options.incremental)
-        scheduler->setScanMode(MrtScanMode::Reference);
     const int limit = result.mii.mii * 4 + options.iiSlack;
 
     // Stamps everything that must be correct on every exit path, and
@@ -424,7 +413,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             {
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "assign", "phase");
-                assignment = attempt_assigner.run(graph, ii, ctx);
+                assignment = attempt_assigner.run(graph, ii, &ctx);
             }
             result.phaseMs.assignMs += assign_watch.elapsedMs();
             result.phaseMs.orderMs += assignment.orderMillis;
@@ -449,24 +438,19 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             // all), which changes per II, so its context is per
             // attempt: it still pools the analyses shared by the
             // feasibility check, timing, order and requests.
-            std::optional<LoopContext> sched_ctx;
-            if (options.incremental)
-                sched_ctx.emplace(assignment.loop.graph);
+            LoopContext sched_ctx(assignment.loop.graph);
             Schedule schedule;
             const Stopwatch sched_watch;
             bool scheduled;
             {
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "schedule", "phase");
-                scheduled = scheduler->schedule(
-                    assignment.loop, model, ii, schedule,
-                    sched_ctx ? &*sched_ctx : nullptr);
+                scheduled = scheduler->schedule(assignment.loop, model, ii,
+                                                schedule, &sched_ctx);
             }
             result.phaseMs.scheduleMs += sched_watch.elapsedMs();
-            if (sched_ctx) {
-                result.ctxHits += sched_ctx->hits();
-                result.ctxMisses += sched_ctx->misses();
-            }
+            result.ctxHits += sched_ctx.hits();
+            result.ctxMisses += sched_ctx.misses();
             if (scheduled && faults &&
                 faults->trip(FaultSite::SchedulerSlotDeny)) {
                 // Injected: pretend the scheduler found no slot.
@@ -797,9 +781,8 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     // every scheduler call.
     const AnnotatedLoop loop = unifiedLoop(graph);
     IiEscalator escalator(loop.graph, options, result);
-    LoopContext *ctx = escalator.context();
-    result.mii = ctx ? computeMii(graph, machine, ctx->recMii())
-                     : computeMii(graph, machine);
+    LoopContext &ctx = escalator.context();
+    result.mii = computeMii(graph, machine, ctx.recMii());
 
     const ResourceModel model(machine);
     FaultInjector *faults = options.faults.get();
@@ -807,8 +790,6 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     const Deadline deadline(options.timeBudgetMs);
     const auto scheduler = makeScheduler(options.scheduler);
     scheduler->setTrace(options.trace);
-    if (!options.incremental)
-        scheduler->setScanMode(MrtScanMode::Reference);
     const int limit = result.mii.mii * 4 + options.iiSlack;
 
     auto finish = [&]() {
@@ -845,7 +826,7 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "schedule", "phase");
                 scheduled =
-                    scheduler->schedule(loop, model, ii, schedule, ctx);
+                    scheduler->schedule(loop, model, ii, schedule, &ctx);
             }
             result.phaseMs.scheduleMs += sched_watch.elapsedMs();
             if (scheduled && faults &&

@@ -102,15 +102,6 @@ struct CompileOptions
     int exhaustiveFallbackNodes = 8;
 
     /**
-     * Master switch of the incremental pipeline: per-loop LoopContext
-     * caching of the II-invariant analyses plus word-scan MRTs. Off,
-     * every II probe recomputes from scratch with the reference MRT
-     * scans -- the pre-cache pipeline, kept as the A/B baseline.
-     * Schedules are byte-identical either way (tests/context_test.cc).
-     */
-    bool incremental = true;
-
-    /**
      * Wall-clock budget for one compile in milliseconds; 0 disables.
      * Checked between II attempts and ladder rungs, so one attempt
      * always runs to completion -- this bounds runaway *searches*,
@@ -239,13 +230,13 @@ struct CompileResult
      */
     ExactStats exact;
 
-    /** LoopContext queries answered from cache (incremental only). */
+    /** LoopContext queries answered from cache. */
     long ctxHits = 0;
 
-    /** LoopContext facts computed fresh (incremental only). */
+    /** LoopContext facts computed fresh. */
     long ctxMisses = 0;
 
-    /** MRT occupancy words examined by word-mode scans. */
+    /** MRT occupancy words examined by the assigner and scheduler. */
     long mrtWordScans = 0;
 
     /**

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <set>
 
-#include "graph/analysis.hh"
-#include "graph/recmii.hh"
 #include "mrt/mrt.hh"
 #include "pipeline/context.hh"
 #include "support/logging.hh"
@@ -20,90 +17,61 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
                                    Schedule &out,
                                    LoopContext *ctx) const
 {
-    const Dfg &graph = loop.graph;
-    const int n = graph.numNodes();
+    std::optional<LoopContext> local;
+    if (!ctx)
+        ctx = &local.emplace(loop.graph);
+    const int n = loop.graph.numNodes();
     if (n == 0) {
         out.ii = ii;
         out.startCycle.clear();
         return true;
     }
-    if (ctx ? !ctx->schedulableAt(ii) : recMii(graph) > ii)
+    if (!ctx->schedulableAt(ii))
         return false;
 
-    std::optional<TimeAnalysis> local_timing;
-    const TimeAnalysis &timing =
-        ctx ? ctx->timing(ii)
-            : local_timing.emplace(analyzeTiming(graph, ii));
+    const TimeAnalysis &timing = ctx->timing(ii);
 
-    // Work list ordered by height (descending), then id. With a
-    // context the priority order is materialized once as a
-    // permutation and the set becomes a bitmap over priority indices
-    // with a moving minimum cursor -- same pop order, no tree
-    // rebalance or node allocation per displacement.
-    const Adjacency *adj = ctx ? &ctx->adjacency() : nullptr;
-    auto higher = [&](NodeId a, NodeId b) {
+    // Work list ordered by height (descending), then id. The priority
+    // order is materialized once as a permutation, and the list is a
+    // bitmap over priority indices with a moving minimum cursor, so
+    // displacements never allocate.
+    const Adjacency &adj = ctx->adjacency();
+    std::vector<NodeId> byPrio(n);
+    for (NodeId v = 0; v < n; ++v)
+        byPrio[v] = v;
+    std::sort(byPrio.begin(), byPrio.end(), [&](NodeId a, NodeId b) {
         if (timing.height[a] != timing.height[b])
             return timing.height[a] > timing.height[b];
         return a < b;
-    };
-    std::set<NodeId, decltype(higher)> worklist(higher);
-    std::vector<NodeId> byPrio;
-    std::vector<int> prio;
-    std::vector<char> pendingPrio;
+    });
+    std::vector<int> prio(n);
+    for (int i = 0; i < n; ++i)
+        prio[byPrio[i]] = i;
+    std::vector<char> pendingPrio(n, 1);
     int minPrio = 0;
-    int npending = 0;
-    if (adj) {
-        byPrio.resize(n);
-        for (NodeId v = 0; v < n; ++v)
-            byPrio[v] = v;
-        std::sort(byPrio.begin(), byPrio.end(), higher);
-        prio.resize(n);
-        for (int i = 0; i < n; ++i)
-            prio[byPrio[i]] = i;
-        pendingPrio.assign(n, 1);
-        npending = n;
-    } else {
-        for (NodeId v = 0; v < n; ++v)
-            worklist.insert(v);
-    }
-    auto wlEmpty = [&] { return adj ? npending == 0 : worklist.empty(); };
+    int npending = n;
     auto wlPop = [&]() -> NodeId {
-        if (adj) {
-            while (!pendingPrio[minPrio])
-                ++minPrio;
-            pendingPrio[minPrio] = 0;
-            --npending;
-            return byPrio[minPrio];
-        }
-        const NodeId v = *worklist.begin();
-        worklist.erase(worklist.begin());
-        return v;
+        while (!pendingPrio[minPrio])
+            ++minPrio;
+        pendingPrio[minPrio] = 0;
+        --npending;
+        return byPrio[minPrio];
     };
     auto wlInsert = [&](NodeId v) {
-        if (adj) {
-            const int p = prio[v];
-            if (!pendingPrio[p]) {
-                pendingPrio[p] = 1;
-                ++npending;
-            }
-            minPrio = std::min(minPrio, p);
-        } else {
-            worklist.insert(v);
+        const int p = prio[v];
+        if (!pendingPrio[p]) {
+            pendingPrio[p] = 1;
+            ++npending;
         }
+        minPrio = std::min(minPrio, p);
     };
 
     std::vector<bool> placed(n, false);
     std::vector<int> start(n, 0);
     std::vector<int> lastStart(n, -1);
     std::vector<Reservation> slots(n);
-    std::optional<std::vector<std::vector<PoolId>>> local_requests;
-    if (!ctx) {
-        local_requests.emplace(n);
-        for (NodeId v = 0; v < n; ++v)
-            (*local_requests)[v] = loop.request(model, v);
-    }
     const std::vector<std::vector<PoolId>> &requests =
-        ctx ? ctx->requests(loop, model) : *local_requests;
+        ctx->requests(loop, model);
 
     Mrt &mrt = scratchMrt(model, ii);
     long budget =
@@ -119,7 +87,7 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
         ++ejections;
     };
 
-    while (!wlEmpty()) {
+    while (npending > 0) {
         if (budget-- <= 0) {
             traceAttempt(ii, false, slot_conflicts, ejections);
             return false;
@@ -131,25 +99,12 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
         // intermediate product, then range-checked into int once: all
         // start-cycle math below stays int.
         long estart_wide = 0;
-        if (adj) {
-            for (const AdjEdge &edge : adj->inEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                estart_wide = std::max(
-                    estart_wide,
-                    start[edge.node] + edge.latency -
-                        static_cast<long>(ii) * edge.distance);
-            }
-        } else {
-            for (EdgeId e : graph.inEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.src == op || !placed[edge.src])
-                    continue;
-                estart_wide = std::max(
-                    estart_wide,
-                    start[edge.src] + edge.latency -
-                        static_cast<long>(ii) * edge.distance);
-            }
+        for (const AdjEdge &edge : adj.inEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            const long bound = start[edge.node] + edge.latency -
+                               static_cast<long>(ii) * edge.distance;
+            estart_wide = std::max(estart_wide, bound);
         }
         estart_wide = std::max<long>(estart_wide, 0);
         cams_assert(estart_wide <=
@@ -205,10 +160,7 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
             }
         }
 
-        if (adj)
-            mrt.reserveAtInto(requests[op], chosen % ii, slots[op]);
-        else
-            slots[op] = mrt.reserveAt(requests[op], chosen % ii);
+        mrt.reserveAtInto(requests[op], chosen % ii, slots[op]);
         slots[op].row = ((chosen % ii) + ii) % ii;
         start[op] = chosen;
         lastStart[op] = chosen;
@@ -216,45 +168,22 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
 
         // Displace successors whose dependence the new start violates
         // (and predecessors, which can only happen on forced moves).
-        if (adj) {
-            for (const AdjEdge &edge : adj->outEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                if (start[edge.node] <
-                    start[op] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.node);
-                }
+        for (const AdjEdge &edge : adj.outEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            if (start[edge.node] <
+                start[op] + edge.latency -
+                    static_cast<long>(ii) * edge.distance) {
+                unschedule(edge.node);
             }
-            for (const AdjEdge &edge : adj->inEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                if (start[op] <
-                    start[edge.node] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.node);
-                }
-            }
-        } else {
-            for (EdgeId e : graph.outEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.dst == op || !placed[edge.dst])
-                    continue;
-                if (start[edge.dst] <
-                    start[op] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.dst);
-                }
-            }
-            for (EdgeId e : graph.inEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.src == op || !placed[edge.src])
-                    continue;
-                if (start[op] <
-                    start[edge.src] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.src);
-                }
+        }
+        for (const AdjEdge &edge : adj.inEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            if (start[op] <
+                start[edge.node] + edge.latency -
+                    static_cast<long>(ii) * edge.distance) {
+                unschedule(edge.node);
             }
         }
     }

@@ -47,7 +47,6 @@ Mrt &
 ModuloScheduler::scratchMrt(const ResourceModel &model, int ii) const
 {
     scratch_.reset(model, ii);
-    scratch_.setScanMode(scanMode_);
     return scratch_;
 }
 

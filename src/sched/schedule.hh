@@ -59,15 +59,16 @@ class ModuloScheduler
      * Attempts to schedule the loop at the given II.
      *
      * A LoopContext bound to loop.graph supplies the cached analyses
-     * (feasibility, timing, order, per-node requests); null computes
-     * everything from scratch. Results are identical either way.
+     * (feasibility, timing, order, per-node requests); with null the
+     * call builds a context of its own, so results are identical
+     * either way.
      * @return true and fills @p out on success.
      */
     virtual bool schedule(const AnnotatedLoop &loop,
                           const ResourceModel &model, int ii,
                           Schedule &out, LoopContext *ctx) const = 0;
 
-    /** Convenience overload: no analysis context. */
+    /** Convenience overload: a call-local analysis context. */
     bool
     schedule(const AnnotatedLoop &loop, const ResourceModel &model,
              int ii, Schedule &out) const
@@ -86,9 +87,6 @@ class ModuloScheduler
      */
     void setTrace(TraceConfig trace) { trace_ = std::move(trace); }
 
-    /** MRT query mode for subsequent calls (perf A/B; same results). */
-    void setScanMode(MrtScanMode mode) { scanMode_ = mode; }
-
     /** MRT occupancy words examined across all calls so far. */
     long wordScans() const { return scratch_.wordScans(); }
 
@@ -99,13 +97,12 @@ class ModuloScheduler
 
     /**
      * Hands out the reusable reservation table, cleared to the given
-     * length and set to the current scan mode. Schedulers run one
-     * call at a time, so one table per scheduler suffices.
+     * length. Schedulers run one call at a time, so one table per
+     * scheduler suffices.
      */
     Mrt &scratchMrt(const ResourceModel &model, int ii) const;
 
     TraceConfig trace_;
-    MrtScanMode scanMode_ = MrtScanMode::Word;
     /** Reused across schedule() calls; see scratchMrt(). */
     mutable Mrt scratch_;
 };

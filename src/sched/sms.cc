@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <set>
 
-#include "graph/analysis.hh"
-#include "graph/recmii.hh"
 #include "mrt/mrt.hh"
-#include "order/swing_order.hh"
 #include "pipeline/context.hh"
 #include "support/logging.hh"
 
@@ -20,24 +16,20 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
                                const ResourceModel &model, int ii,
                                Schedule &out, LoopContext *ctx) const
 {
-    const Dfg &graph = loop.graph;
-    const int n = graph.numNodes();
+    std::optional<LoopContext> local;
+    if (!ctx)
+        ctx = &local.emplace(loop.graph);
+    const int n = loop.graph.numNodes();
     if (n == 0) {
         out.ii = ii;
         out.startCycle.clear();
         return true;
     }
-    if (ctx ? !ctx->schedulableAt(ii) : recMii(graph) > ii)
+    if (!ctx->schedulableAt(ii))
         return false;
 
-    std::optional<TimeAnalysis> local_timing;
-    const TimeAnalysis &timing =
-        ctx ? ctx->timing(ii)
-            : local_timing.emplace(analyzeTiming(graph, ii));
-    std::optional<std::vector<NodeId>> local_order;
-    const std::vector<NodeId> &order =
-        ctx ? ctx->swingOrder(ii)
-            : local_order.emplace(swingOrder(graph, ii));
+    const TimeAnalysis &timing = ctx->timing(ii);
+    const std::vector<NodeId> &order = ctx->swingOrder(ii);
     std::vector<int> rank(n, 0);
     for (size_t i = 0; i < order.size(); ++i)
         rank[order[i]] = static_cast<int>(i);
@@ -47,61 +39,35 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
     // scheduler") ejects conflicting operations instead of failing
     // outright; a budget bounds total placements.
     //
-    // With a context the tree set is replaced by a rank-indexed
-    // bitmap with a moving minimum cursor: pops and ejection
-    // re-inserts become allocation-free, and the pop order (lowest
-    // rank first, i.e. order[r]) is identical.
-    const Adjacency *adj = ctx ? &ctx->adjacency() : nullptr;
-    auto prior = [&](NodeId a, NodeId b) { return rank[a] < rank[b]; };
-    std::set<NodeId, decltype(prior)> worklist(prior);
-    std::vector<char> pendingRank;
+    // The list is a rank-indexed bitmap with a moving minimum cursor:
+    // pops (lowest rank first, i.e. order[r]) and ejection re-inserts
+    // are allocation-free.
+    const Adjacency &adj = ctx->adjacency();
+    std::vector<char> pendingRank(n, 1);
     int minRank = 0;
-    int npending = 0;
-    if (adj) {
-        pendingRank.assign(n, 1);
-        npending = n;
-    } else {
-        for (NodeId v = 0; v < n; ++v)
-            worklist.insert(v);
-    }
-    auto wlEmpty = [&] { return adj ? npending == 0 : worklist.empty(); };
+    int npending = n;
     auto wlPop = [&]() -> NodeId {
-        if (adj) {
-            while (!pendingRank[minRank])
-                ++minRank;
-            pendingRank[minRank] = 0;
-            --npending;
-            return order[minRank];
-        }
-        const NodeId v = *worklist.begin();
-        worklist.erase(worklist.begin());
-        return v;
+        while (!pendingRank[minRank])
+            ++minRank;
+        pendingRank[minRank] = 0;
+        --npending;
+        return order[minRank];
     };
     auto wlInsert = [&](NodeId v) {
-        if (adj) {
-            const int r = rank[v];
-            if (!pendingRank[r]) {
-                pendingRank[r] = 1;
-                ++npending;
-            }
-            minRank = std::min(minRank, r);
-        } else {
-            worklist.insert(v);
+        const int r = rank[v];
+        if (!pendingRank[r]) {
+            pendingRank[r] = 1;
+            ++npending;
         }
+        minRank = std::min(minRank, r);
     };
 
     std::vector<bool> placed(n, false);
     std::vector<long> start(n, 0);
     std::vector<long> lastStart(n, std::numeric_limits<long>::min());
     std::vector<Reservation> slots(n);
-    std::optional<std::vector<std::vector<PoolId>>> local_requests;
-    if (!ctx) {
-        local_requests.emplace(n);
-        for (NodeId v = 0; v < n; ++v)
-            (*local_requests)[v] = loop.request(model, v);
-    }
     const std::vector<std::vector<PoolId>> &requests =
-        ctx ? ctx->requests(loop, model) : *local_requests;
+        ctx->requests(loop, model);
 
     Mrt &mrt = scratchMrt(model, ii);
     long budget = std::max<long>(32, 8L * n);
@@ -119,53 +85,29 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
         ++ejections;
     };
 
-    while (!wlEmpty()) {
+    while (npending > 0) {
         if (budget-- <= 0) {
             traceAttempt(ii, false, slot_conflicts, ejections);
             return false;
         }
         const NodeId op = wlPop();
 
-        // Windows anchored to the already placed neighbors. The
-        // adjacency branch reads the same edges as flat records.
+        // Windows anchored to the already placed neighbors.
         long early = kNone;
         long late = kNone;
-        if (adj) {
-            for (const AdjEdge &edge : adj->inEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                early = std::max(early,
-                                 start[edge.node] + edge.latency -
-                                     static_cast<long>(ii) *
-                                         edge.distance);
-            }
-            for (const AdjEdge &edge : adj->outEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                const long bound = start[edge.node] - edge.latency +
-                                   static_cast<long>(ii) *
-                                       edge.distance;
-                late = (late == kNone) ? bound : std::min(late, bound);
-            }
-        } else {
-            for (EdgeId e : graph.inEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.src == op || !placed[edge.src])
-                    continue;
-                early = std::max(early,
-                                 start[edge.src] + edge.latency -
-                                     static_cast<long>(ii) *
-                                         edge.distance);
-            }
-            for (EdgeId e : graph.outEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.dst == op || !placed[edge.dst])
-                    continue;
-                const long bound = start[edge.dst] - edge.latency +
-                                   static_cast<long>(ii) *
-                                       edge.distance;
-                late = (late == kNone) ? bound : std::min(late, bound);
-            }
+        for (const AdjEdge &edge : adj.inEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            const long bound = start[edge.node] + edge.latency -
+                               static_cast<long>(ii) * edge.distance;
+            early = std::max(early, bound);
+        }
+        for (const AdjEdge &edge : adj.outEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            const long bound = start[edge.node] - edge.latency +
+                               static_cast<long>(ii) * edge.distance;
+            late = (late == kNone) ? bound : std::min(late, bound);
         }
 
         // Window scans, as cyclic first-fit row scans (identical row
@@ -242,54 +184,28 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
             chosen = t;
         }
 
-        if (adj)
-            mrt.reserveAtInto(requests[op], rowOf(chosen), slots[op]);
-        else
-            slots[op] = mrt.reserveAt(requests[op], rowOf(chosen));
+        mrt.reserveAtInto(requests[op], rowOf(chosen), slots[op]);
         start[op] = chosen;
         lastStart[op] = chosen;
         placed[op] = true;
 
         // Eject neighbors whose dependence the new start violates.
-        if (adj) {
-            for (const AdjEdge &edge : adj->outEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                if (start[edge.node] <
-                    start[op] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.node);
-                }
+        for (const AdjEdge &edge : adj.outEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            if (start[edge.node] <
+                start[op] + edge.latency -
+                    static_cast<long>(ii) * edge.distance) {
+                unschedule(edge.node);
             }
-            for (const AdjEdge &edge : adj->inEdges(op)) {
-                if (edge.node == op || !placed[edge.node])
-                    continue;
-                if (start[op] <
-                    start[edge.node] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.node);
-                }
-            }
-        } else {
-            for (EdgeId e : graph.outEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.dst == op || !placed[edge.dst])
-                    continue;
-                if (start[edge.dst] <
-                    start[op] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.dst);
-                }
-            }
-            for (EdgeId e : graph.inEdges(op)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.src == op || !placed[edge.src])
-                    continue;
-                if (start[op] <
-                    start[edge.src] + edge.latency -
-                        static_cast<long>(ii) * edge.distance) {
-                    unschedule(edge.src);
-                }
+        }
+        for (const AdjEdge &edge : adj.inEdges(op)) {
+            if (edge.node == op || !placed[edge.node])
+                continue;
+            if (start[op] <
+                start[edge.node] + edge.latency -
+                    static_cast<long>(ii) * edge.distance) {
+                unschedule(edge.node);
             }
         }
     }

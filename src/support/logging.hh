@@ -19,6 +19,12 @@
  * where they matter most would be backwards. The condition is always
  * evaluated; keep side effects out of it anyway.
  *
+ * The one place CAMS honours NDEBUG is an oracle, not a guard: debug
+ * builds re-derive the assigner's running §4.2 counts by rescanning
+ * the graph and the MRT at every query and cams_check the two
+ * (assign/assigner.cc). That scan costs exactly what the counts
+ * exist to save, so Release builds leave it out.
+ *
  * Choosing between the three failure macros:
  *  - cams_fatal: bad *input* (user error). Process exit is the API.
  *  - cams_assert: broken invariant where no enclosing recovery exists

@@ -1,20 +1,24 @@
 /**
  * @file
- * Tests of the incremental-compilation layer: the A/B determinism
- * guarantee (cached and from-scratch pipelines produce byte-identical
- * results), the incremental TimingSolver against analyzeTiming, the
- * word-scan MRT against the reference row scan, and the LoopContext
- * cache itself.
+ * Tests of the per-loop analysis layer: the TimingSolver and the
+ * LoopContext against the standalone analyses they cache, and the
+ * word-scan MRT against a row-by-row counting table written here,
+ * independently of the Mrt class.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "assign/assigner.hh"
 #include "graph/analysis.hh"
 #include "graph/recmii.hh"
 #include "machine/configs.hh"
 #include "mrt/mrt.hh"
+#include "order/swing_order.hh"
 #include "pipeline/context.hh"
 #include "pipeline/driver.hh"
+#include "sched/mii.hh"
 #include "support/random.hh"
 #include "workload/suite.hh"
 
@@ -22,133 +26,6 @@ namespace cams
 {
 namespace
 {
-
-/** Asserts two compile results are indistinguishable, down to every
- *  start cycle, placement, and bookkeeping counter that must not
- *  depend on the caching mode. */
-void
-expectSameResult(const CompileResult &a, const CompileResult &b)
-{
-    ASSERT_EQ(a.success, b.success);
-    EXPECT_EQ(a.ii, b.ii);
-    EXPECT_EQ(a.mii.recMii, b.mii.recMii);
-    EXPECT_EQ(a.mii.resMii, b.mii.resMii);
-    EXPECT_EQ(a.mii.mii, b.mii.mii);
-    EXPECT_EQ(a.copies, b.copies);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.assignRetries, b.assignRetries);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.failure, b.failure);
-    EXPECT_EQ(a.failureDetail, b.failureDetail);
-    EXPECT_EQ(a.finalIiTried, b.finalIiTried);
-    EXPECT_EQ(a.degraded, b.degraded);
-    EXPECT_EQ(a.verifierRejects, b.verifierRejects);
-    if (!a.success)
-        return;
-    EXPECT_EQ(a.schedule.ii, b.schedule.ii);
-    EXPECT_EQ(a.schedule.startCycle, b.schedule.startCycle);
-    ASSERT_EQ(a.loop.placement.size(), b.loop.placement.size());
-    for (size_t i = 0; i < a.loop.placement.size(); ++i) {
-        EXPECT_EQ(a.loop.placement[i].cluster,
-                  b.loop.placement[i].cluster);
-        EXPECT_EQ(a.loop.placement[i].copyDsts,
-                  b.loop.placement[i].copyDsts);
-    }
-}
-
-/** Compiles the suite with and without the incremental layer and
- *  demands byte-identical outcomes, loop by loop. */
-void
-runDeterminismSweep(SchedulerKind kind, bool clustered,
-                    const MachineDesc &machine = busedGpMachine(2, 2, 1),
-                    const AssignOptions &assign = {})
-{
-    const std::vector<Dfg> suite = buildSuite(48, 0xAB12CD34ULL);
-    const MachineDesc unified = machine.unifiedEquivalent();
-
-    CompileOptions cached;
-    cached.scheduler = kind;
-    cached.assign = assign;
-    cached.incremental = true;
-    CompileOptions scratch = cached;
-    scratch.incremental = false;
-
-    for (const Dfg &loop : suite) {
-        const CompileResult a =
-            clustered ? compileClustered(loop, machine, cached)
-                      : compileUnified(loop, unified, cached);
-        const CompileResult b =
-            clustered ? compileClustered(loop, machine, scratch)
-                      : compileUnified(loop, unified, scratch);
-        SCOPED_TRACE(loop.name());
-        expectSameResult(a, b);
-    }
-}
-
-TEST(AbDeterminism, ClusteredSwing)
-{
-    runDeterminismSweep(SchedulerKind::Swing, true);
-}
-
-TEST(AbDeterminism, ClusteredIterative)
-{
-    runDeterminismSweep(SchedulerKind::Iterative, true);
-}
-
-TEST(AbDeterminism, UnifiedSwing)
-{
-    runDeterminismSweep(SchedulerKind::Swing, false);
-}
-
-TEST(AbDeterminism, UnifiedIterative)
-{
-    runDeterminismSweep(SchedulerKind::Iterative, false);
-}
-
-/**
- * The four assignment variants of the paper's Figures 12/13 on one
- * machine. The from-scratch arm rescans the graph for every §4.2
- * prediction, so it checks the incremental arm's running counts on
- * every kind of interconnect: broadcast buses with GP or FS units,
- * and the point-to-point grid with its C - RC - 1 bound and relay
- * hop chains.
- */
-void
-runVariantSweep(const MachineDesc &machine)
-{
-    for (const bool iterative : {true, false}) {
-        for (const bool full : {true, false}) {
-            SCOPED_TRACE(machine.name +
-                         (iterative ? " iterative" : " one-pass") +
-                         (full ? " heuristic" : " simple"));
-            AssignOptions assign;
-            assign.iterative = iterative;
-            assign.fullHeuristic = full;
-            runDeterminismSweep(SchedulerKind::Swing, true, machine,
-                                assign);
-        }
-    }
-}
-
-TEST(AbDeterminism, VariantsOnTwoClusters)
-{
-    runVariantSweep(busedGpMachine(2, 2, 1));
-}
-
-TEST(AbDeterminism, VariantsOnFourClusters)
-{
-    runVariantSweep(busedGpMachine(4, 4, 2));
-}
-
-TEST(AbDeterminism, VariantsOnBusedFullySpecialized)
-{
-    runVariantSweep(busedFsMachine(2, 2, 1));
-}
-
-TEST(AbDeterminism, VariantsOnGrid)
-{
-    runVariantSweep(gridMachine());
-}
 
 void
 expectSameTiming(const TimeAnalysis &a, const TimeAnalysis &b)
@@ -201,6 +78,39 @@ TEST(LoopContext, MatchesDirectAnalyses)
         EXPECT_EQ(ctx.recMii(), direct);
         for (int ii = std::max(1, direct - 2); ii < direct + 3; ++ii)
             EXPECT_EQ(ctx.schedulableAt(ii), direct <= ii);
+        // The swing order the context builds over its packed
+        // adjacency equals the standalone one at each II.
+        for (int ii = direct; ii < direct + 3; ++ii) {
+            expectSameTiming(ctx.timing(ii), analyzeTiming(loop, ii));
+            EXPECT_EQ(ctx.swingOrder(ii), swingOrder(loop, ii));
+        }
+        // The packed adjacency lists what the Dfg queries list, in
+        // the same order, edge payloads included.
+        const Adjacency &adj = ctx.adjacency();
+        for (NodeId v = 0; v < loop.numNodes(); ++v) {
+            const auto preds = adj.preds(v);
+            const auto succs = adj.succs(v);
+            EXPECT_EQ(std::vector<NodeId>(preds.begin(), preds.end()),
+                      loop.predecessors(v));
+            EXPECT_EQ(std::vector<NodeId>(succs.begin(), succs.end()),
+                      loop.successors(v));
+            const auto in = adj.inEdges(v);
+            ASSERT_EQ(in.size(), loop.inEdges(v).size());
+            for (size_t k = 0; k < in.size(); ++k) {
+                const DfgEdge &edge = loop.edge(loop.inEdges(v)[k]);
+                EXPECT_EQ(in[k].node, edge.src);
+                EXPECT_EQ(in[k].latency, edge.latency);
+                EXPECT_EQ(in[k].distance, edge.distance);
+            }
+            const auto out = adj.outEdges(v);
+            ASSERT_EQ(out.size(), loop.outEdges(v).size());
+            for (size_t k = 0; k < out.size(); ++k) {
+                const DfgEdge &edge = loop.edge(loop.outEdges(v)[k]);
+                EXPECT_EQ(out[k].node, edge.dst);
+                EXPECT_EQ(out[k].latency, edge.latency);
+                EXPECT_EQ(out[k].distance, edge.distance);
+            }
+        }
     }
 }
 
@@ -220,15 +130,112 @@ TEST(LoopContext, FeasibilityBoundsCacheWithoutRecMii)
     EXPECT_GT(ctx.hits(), 0);
 }
 
-/** One randomized Mrt trajectory, mirrored in Word and Reference
- *  modes; every query along the way must agree. */
+/**
+ * The assigner alone, every Figure 12/13 variant on every kind of
+ * interconnect, at each loop's MII and the two IIs above it. Debug
+ * builds cross-check every §4.2 query against a rescan of the graph
+ * and the MRT; a mismatch surfaces here as an invariant failure that
+ * carries the check's message.
+ */
+TEST(AssignCounters, AgreeWithRescansOnEveryMachine)
+{
+    const std::vector<Dfg> suite = buildSuite(24, 0x5EED0006ULL);
+    for (const MachineDesc &machine :
+         {busedGpMachine(2, 2, 1), busedGpMachine(4, 4, 2),
+          busedFsMachine(2, 2, 1), gridMachine()}) {
+        const ResourceModel model(machine);
+        for (const bool iterative : {true, false}) {
+            for (const bool full : {true, false}) {
+                AssignOptions options;
+                options.iterative = iterative;
+                options.fullHeuristic = full;
+                const ClusterAssigner assigner(model, options);
+                for (const Dfg &loop : suite) {
+                    LoopContext ctx(loop);
+                    const int mii =
+                        computeMii(loop, machine.unifiedEquivalent(),
+                                   ctx.recMii())
+                            .mii;
+                    for (int ii = mii; ii < mii + 3; ++ii) {
+                        const AssignResult result =
+                            assigner.run(loop, ii, &ctx);
+                        EXPECT_EQ(result.invariantFailures, 0)
+                            << machine.name << " " << loop.name()
+                            << " II " << ii << ": " << result.detail;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The MRT's reference semantics, written out row by row: a slot count
+ * per (pool, row) against the pool's capacity. Shares nothing with
+ * Mrt but the ResourceModel's capacities.
+ */
+class CountingTable
+{
+  public:
+    CountingTable(const ResourceModel &model, int ii)
+        : model_(model), ii_(ii),
+          used_(static_cast<size_t>(model.numPools()) * ii, 0)
+    {
+    }
+
+    bool
+    fits(const std::vector<PoolId> &request, int row) const
+    {
+        for (PoolId pool : request) {
+            const long need =
+                std::count(request.begin(), request.end(), pool);
+            if (used(pool, row) + need > model_.capacity(pool))
+                return false;
+        }
+        return true;
+    }
+
+    /** Rows skipped before the first fit along the cyclic walk. */
+    int
+    scanRows(const std::vector<PoolId> &request, int row, int count,
+             int step) const
+    {
+        for (int skipped = 0; skipped < count; ++skipped) {
+            if (fits(request, row))
+                return skipped;
+            row = (row + step + ii_) % ii_;
+        }
+        return -1;
+    }
+
+    void
+    take(const std::vector<PoolId> &request, int row, int delta)
+    {
+        for (PoolId pool : request)
+            used_[static_cast<size_t>(pool) * ii_ + row] += delta;
+    }
+
+  private:
+    int
+    used(PoolId pool, int row) const
+    {
+        return used_[static_cast<size_t>(pool) * ii_ + row];
+    }
+
+    const ResourceModel &model_;
+    int ii_;
+    std::vector<int> used_;
+};
+
+/** One randomized Mrt trajectory, mirrored in a CountingTable; every
+ *  query along the way must agree. */
 void
 runMirroredMrtTrajectory(const MachineDesc &machine, uint64_t seed,
                          int ii)
 {
     const ResourceModel model(machine);
-    Mrt word(model, ii, MrtScanMode::Word);
-    Mrt reference(model, ii, MrtScanMode::Reference);
+    Mrt word(model, ii);
+    CountingTable reference(model, ii);
     Rng rng(seed);
 
     // A menu of requests: single pools plus a few multi-pool combos
@@ -246,15 +253,17 @@ runMirroredMrtTrajectory(const MachineDesc &machine, uint64_t seed,
         menu.push_back(std::move(combo));
     }
 
-    std::vector<Reservation> wordHeld;
-    std::vector<Reservation> refHeld;
+    std::vector<Reservation> held;
     for (int step = 0; step < 400; ++step) {
         const std::vector<PoolId> &request =
             menu[rng.uniformInt(0, static_cast<int>(menu.size()) - 1)];
         const int row = rng.uniformInt(0, ii - 1);
         ASSERT_EQ(word.canReserveAt(request, row),
-                  reference.canReserveAt(request, row))
+                  reference.fits(request, row))
             << "step " << step << " row " << row;
+        ASSERT_EQ(word.findRow(request),
+                  reference.scanRows(request, 0, ii, 1))
+            << "step " << step;
         const int count = rng.uniformInt(1, ii);
         const int step_dir = rng.chance(0.5) ? 1 : -1;
         ASSERT_EQ(word.scanRows(request, row, count, step_dir),
@@ -263,19 +272,16 @@ runMirroredMrtTrajectory(const MachineDesc &machine, uint64_t seed,
             << " dir " << step_dir;
 
         if (rng.chance(0.65) && word.canReserveAt(request, row)) {
-            wordHeld.push_back(word.reserveAt(request, row));
-            refHeld.push_back(reference.reserveAt(request, row));
-        } else if (!wordHeld.empty() && rng.chance(0.5)) {
-            const int victim = rng.uniformInt(
-                0, static_cast<int>(wordHeld.size()) - 1);
-            word.release(wordHeld[victim]);
-            reference.release(refHeld[victim]);
-            wordHeld.erase(wordHeld.begin() + victim);
-            refHeld.erase(refHeld.begin() + victim);
+            held.push_back(word.reserveAt(request, row));
+            reference.take(request, row, 1);
+        } else if (!held.empty() && rng.chance(0.5)) {
+            const int victim =
+                rng.uniformInt(0, static_cast<int>(held.size()) - 1);
+            word.release(held[victim]);
+            reference.take(held[victim].pools, held[victim].row, -1);
+            held.erase(held.begin() + victim);
         }
     }
-    // Reference mode records no word scans; word mode must have.
-    EXPECT_EQ(reference.wordScans(), 0);
     EXPECT_GT(word.wordScans(), 0);
 }
 
@@ -315,14 +321,6 @@ TEST(CompileResult, IncrementalModeReportsCacheCounters)
     ASSERT_TRUE(cached.success);
     EXPECT_GT(cached.ctxMisses, 0);
     EXPECT_GT(cached.mrtWordScans, 0);
-
-    options.incremental = false;
-    const CompileResult scratch =
-        compileClustered(suite.front(), machine, options);
-    ASSERT_TRUE(scratch.success);
-    EXPECT_EQ(scratch.ctxHits, 0);
-    EXPECT_EQ(scratch.ctxMisses, 0);
-    EXPECT_EQ(scratch.mrtWordScans, 0);
 }
 
 } // namespace

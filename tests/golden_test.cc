@@ -10,7 +10,8 @@
  * values are checked in, so any change to a single decision anywhere
  * in the pipeline -- order, assignment, copy routing, scheduling, the
  * exact arm -- shows up as a digest mismatch. A change that alters
- * output on purpose must update the table and say why.
+ * output on purpose must update the table and say why. Every case
+ * also demands that no cams_check fired along the way.
  */
 
 #include <gtest/gtest.h>
@@ -100,6 +101,9 @@ struct GoldenCase
     bool fullHeuristic;
     CompileBackend backend;
     uint64_t expected;
+    SchedulerKind scheduler = SchedulerKind::Swing;
+    /** Compile for the equally wide unified machine (compileUnified). */
+    bool unified = false;
 };
 
 MachineDesc gp2() { return busedGpMachine(2, 2, 1); }
@@ -109,6 +113,8 @@ MachineDesc grid() { return gridMachine(); }
 
 constexpr CompileBackend heuristic = CompileBackend::Heuristic;
 constexpr CompileBackend race = CompileBackend::Race;
+constexpr SchedulerKind swing = SchedulerKind::Swing;
+constexpr SchedulerKind ims = SchedulerKind::Iterative;
 
 const GoldenCase goldenCases[] = {
     {"2c-gp-2b-1p/heuristic-iterative", gp2, true, true, heuristic,
@@ -135,6 +141,12 @@ const GoldenCase goldenCases[] = {
      0xE7638587D7B12B67ULL},
     {"4c-gp-4b-2p/race", gp4, true, true, race,
      0xC5FD9FCD28E6A1D8ULL},
+    {"2c-gp-2b-1p/heuristic-iterative/ims", gp2, true, true, heuristic,
+     0x2B0C49A0593FB116ULL, ims},
+    {"2c-gp-2b-1p/unified", gp2, true, true, heuristic,
+     0x1B73343D70B1227BULL, swing, true},
+    {"2c-gp-2b-1p/unified-ims", gp2, true, true, heuristic,
+     0x7BA4BD404A4D18A3ULL, ims, true},
 };
 
 class GoldenDigest : public ::testing::TestWithParam<GoldenCase>
@@ -145,14 +157,25 @@ TEST_P(GoldenDigest, FullSuiteMatches)
 {
     const GoldenCase &golden = GetParam();
     const MachineDesc machine = golden.machine();
+    const MachineDesc unified = machine.unifiedEquivalent();
     CompileOptions options;
     options.assign.iterative = golden.iterative;
     options.assign.fullHeuristic = golden.fullHeuristic;
     options.backend = golden.backend;
+    options.scheduler = golden.scheduler;
 
     Digest digest;
-    for (const Dfg &loop : suite())
-        addResult(digest, compileClustered(loop, machine, options));
+    long recoveries = 0;
+    for (const Dfg &loop : suite()) {
+        const CompileResult result =
+            golden.unified ? compileUnified(loop, unified, options)
+                           : compileClustered(loop, machine, options);
+        addResult(digest, result);
+        recoveries += result.invariantRecoveries;
+    }
+    // A recovered cams_check is a bug even when the retry hides it;
+    // debug builds count the §4.2 counter cross-check here too.
+    EXPECT_EQ(recoveries, 0) << golden.name;
     char printed[32];
     std::snprintf(printed, sizeof printed, "0x%016llXULL",
                   static_cast<unsigned long long>(digest.value()));

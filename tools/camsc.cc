@@ -93,8 +93,6 @@ usage()
            "  --simple           drop the selection heuristic\n"
            "  --no-iterate       drop the eviction/repair iteration\n"
            "  --no-fallback      disable the degradation ladder\n"
-           "  --no-incremental   disable the per-loop analysis cache "
-           "and word-scan MRTs (A/B baseline)\n"
            "  --fault P          inject faults with probability P per "
            "site (stress testing)\n"
            "  --fault-seed S     seed of the fault injector "
@@ -297,8 +295,6 @@ main(int argc, char **argv)
             options.assign.iterative = false;
         } else if (arg == "--no-fallback") {
             options.fallback = false;
-        } else if (arg == "--no-incremental") {
-            options.incremental = false;
         } else if (arg == "--fault") {
             const char *value = next();
             if (!value)

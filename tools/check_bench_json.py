@@ -41,7 +41,7 @@ COUNTER_KEYS = {
     "directories", "entries_scanned", "entries_ok", "quarantined",
     "tmp_removed", "hint_lines_kept", "hint_lines_dropped",
     "tightened", "certified", "unsupported", "spot_checks",
-    "max_gap", "exact_conflicts",
+    "max_gap", "exact_conflicts", "attempts",
 }
 
 # Per-kind required top-level keys ("bench" selects the row).
@@ -52,8 +52,8 @@ REQUIRED = {
     ),
     "cams_fuzz": ("iters", "seed", "jobs", "violations", "stats"),
     "compile_perf": (
-        "loops", "reps", "identical_schedules", "speedup_mean",
-        "normalized_mean", "incremental", "baseline",
+        "loops", "reps", "counters", "mean_ns_per_loop", "p50_ns",
+        "p90_ns", "phase_ns_per_loop",
     ),
     "cams_load": (
         "corpus", "connections", "send_failures", "protocol_errors",
