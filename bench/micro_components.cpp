@@ -3,10 +3,14 @@
  * google-benchmark microbenchmarks of the compiler's building blocks:
  * SCC decomposition, RecMII, swing ordering, MRT operations, cluster
  * assignment and the two schedulers, over generated loops of several
- * sizes.
+ * sizes; and the compile cache's hit path (key derivation, lookup)
+ * over the suite loops.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
+#include <unistd.h>
 
 #include "assign/assigner.hh"
 #include "frontend/parser.hh"
@@ -14,10 +18,12 @@
 #include "graph/scc.hh"
 #include "machine/configs.hh"
 #include "order/swing_order.hh"
+#include "pipeline/cache/compile_cache.hh"
 #include "pipeline/driver.hh"
 #include "sched/mii.hh"
 #include "sim/compare.hh"
 #include "workload/generator.hh"
+#include "workload/suite.hh"
 
 namespace
 {
@@ -157,6 +163,62 @@ BM_CompileUnified(benchmark::State &state)
         benchmark::DoNotOptimize(compileUnified(graph, machine));
 }
 BENCHMARK(BM_CompileUnified)->Arg(16)->Arg(64)->Arg(161);
+
+/** The suite loops, built once for the cache benchmarks. */
+const std::vector<Dfg> &
+suiteLoops()
+{
+    static const std::vector<Dfg> loops = buildSuite();
+    return loops;
+}
+
+void
+BM_CacheKey(benchmark::State &state)
+{
+    const std::vector<Dfg> &loops = suiteLoops();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const CompileOptions options;
+    size_t k = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            makeCacheKey(loops[k], machine, options, true));
+        k = (k + 1) % loops.size();
+    }
+}
+BENCHMARK(BM_CacheKey);
+
+void
+BM_CacheLookupHit(benchmark::State &state)
+{
+    const std::vector<Dfg> &loops = suiteLoops();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("cams-micro-cache-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    {
+        CompileCache cache(dir.string(), CacheMode::ReadWrite);
+        CompileOptions options;
+        options.cache = &cache;
+        std::vector<CacheKey> keys;
+        for (const Dfg &loop : loops) {
+            compileClustered(loop, machine, options);
+            keys.push_back(makeCacheKey(loop, machine, options, true));
+        }
+        size_t k = 0;
+        for (auto _ : state) {
+            CompileResult out;
+            if (!cache.lookup(keys[k], loops[k], machine, out)) {
+                state.SkipWithError("a suite loop missed the cache");
+                break;
+            }
+            benchmark::DoNotOptimize(out);
+            k = (k + 1) % loops.size();
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CacheLookupHit);
 
 } // namespace
 

@@ -1,6 +1,7 @@
 #include "pipeline/cache/compile_cache.hh"
 
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +10,10 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "mrt/mrt.hh"
 #include "pipeline/cache/serialize.hh"
@@ -25,8 +30,12 @@ namespace
 /** "CCE1" read as a little-endian u32. */
 constexpr uint32_t entryMagic = 0x31454343u;
 
-/** Bumped on any change to the entry layout or a nested payload. */
-constexpr uint32_t entryFormatVersion = 1;
+/**
+ * Bumped on any change to the entry layout or a nested payload.
+ * Version 2 keys entries by the exact loop image: the header's first
+ * hash is hashBytes(packDfg(graph)), no longer the canonical hash.
+ */
+constexpr uint32_t entryFormatVersion = 2;
 
 /** Salts the options hash so schema changes invalidate old keys. */
 constexpr uint64_t optionsSchemaSalt = 0xca5cade100000002ULL;
@@ -52,18 +61,36 @@ parseHex16(const std::string &text, uint64_t &out)
     return end == text.c_str() + 16;
 }
 
+/** Reads a whole regular file into @p out with one sized read. */
 bool
 readFileBytes(const std::string &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
-        return false;
-    out = buf.str();
-    return true;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    if (ok) {
+        out.resize(static_cast<size_t>(st.st_size));
+        size_t done = 0;
+        while (done < out.size()) {
+            const ssize_t got =
+                ::read(fd, out.data() + done, out.size() - done);
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got < 0) {
+                ok = false;
+                break;
+            }
+            if (got == 0) {
+                out.resize(done); // shrank since fstat: a torn read
+                break;
+            }
+            done += static_cast<size_t>(got);
+        }
+    }
+    ::close(fd);
+    return ok;
 }
 
 uint64_t
@@ -90,6 +117,39 @@ validHintLine(const std::string &line)
     return hint.ii > 0 && hint.mii > 0 && hint.rotation >= 0;
 }
 
+/** The fields of an entry file, as views into its bytes. */
+struct EntryImage
+{
+    CacheKey key; ///< the stored hashes (loopHash and hintSalt unset)
+    std::string_view graph;
+    std::string_view machine;
+    CompileResult result;
+};
+
+/**
+ * Decodes an entry file: magic, version, the stored hashes, the
+ * payload checksum and every payload field. False on any failure.
+ */
+bool
+decodeEntry(std::string_view bytes, EntryImage &out)
+{
+    ByteReader reader(bytes);
+    uint32_t magic = 0, version = 0;
+    uint64_t checksum = 0;
+    std::string_view payload;
+    if (!reader.u32(magic) || !reader.u32(version) ||
+        !reader.u64(out.key.imageHash) ||
+        !reader.u64(out.key.machineHash) ||
+        !reader.u64(out.key.optionsHash) || !reader.u64(checksum) ||
+        !reader.view(payload) || !reader.atEnd() ||
+        magic != entryMagic || version != entryFormatVersion ||
+        checksum != hashBytes(payload))
+        return false;
+    ByteReader body(payload);
+    return body.view(out.graph) && body.view(out.machine) &&
+           readCompileResult(body, out.result) && body.atEnd();
+}
+
 /**
  * Full structural validation of one entry image: everything lookup()
  * checks short of the (input-dependent) byte-image gate and the
@@ -98,38 +158,21 @@ validHintLine(const std::string &line)
 bool
 validCacheEntryBytes(const std::string &bytes, uint64_t expectId)
 {
-    ByteReader reader(bytes);
-    uint32_t magic = 0, version = 0;
-    uint64_t loop_hash = 0, machine_hash = 0, options_hash = 0;
-    uint64_t checksum = 0;
-    std::string payload;
-    if (!reader.u32(magic) || !reader.u32(version) ||
-        !reader.u64(loop_hash) || !reader.u64(machine_hash) ||
-        !reader.u64(options_hash) || !reader.u64(checksum) ||
-        !reader.str(payload) || !reader.atEnd() ||
-        magic != entryMagic || version != entryFormatVersion ||
-        checksum != hashBytes(payload))
+    EntryImage entry;
+    if (!decodeEntry(bytes, entry))
         return false;
 
     // A renamed or cross-linked file serves the wrong key: the name
-    // must re-derive from the stored hashes.
-    CacheKey stored;
-    stored.loopHash = loop_hash;
-    stored.machineHash = machine_hash;
-    stored.optionsHash = options_hash;
-    if (stored.entryId() != expectId)
+    // must re-derive from the stored hashes, and the image hash from
+    // the stored graph image.
+    if (entry.key.entryId() != expectId ||
+        entry.key.imageHash != hashBytes(entry.graph))
         return false;
 
-    ByteReader body(payload);
-    std::string graph_bytes, machine_bytes;
-    CompileResult result;
-    if (!body.str(graph_bytes) || !body.str(machine_bytes) ||
-        !readCompileResult(body, result) || !body.atEnd())
-        return false;
     Dfg graph;
     MachineDesc machine;
-    return readDfg(graph_bytes, graph) &&
-           readMachine(machine_bytes, machine);
+    return readDfg(entry.graph, graph) &&
+           readMachine(entry.machine, machine);
 }
 
 } // namespace
@@ -167,7 +210,7 @@ uint64_t
 CacheKey::entryId() const
 {
     uint64_t id = 0xe17e5ee0ULL;
-    id = hashCombine(id, loopHash);
+    id = hashCombine(id, imageHash);
     id = hashCombine(id, machineHash);
     id = hashCombine(id, optionsHash);
     return id;
@@ -194,8 +237,8 @@ makeCacheKey(const Dfg &graph, const MachineDesc &machine,
              const CompileOptions &options, bool clustered)
 {
     CacheKey key;
-    key.loopHash = canonicalLoopHash(graph);
-    key.machineHash = hashBytes(packMachine(machine));
+    key.imageHash = dfgImageHash(graph);
+    key.machineHash = machineImageHash(machine);
 
     uint64_t oh = optionsSchemaSalt;
     oh = hashCombine(oh, clustered ? 1 : 0);
@@ -277,7 +320,19 @@ CompileCache::shardFor(uint64_t id) const
 std::string
 CompileCache::entryPath(const CacheKey &key) const
 {
-    return (fs::path(directory_) / key.fileName()).string();
+    // Plain concatenation: fs::path would allocate and parse on every
+    // lookup, and a doubled separator is harmless.
+    return directory_ + '/' + key.fileName();
+}
+
+std::shared_ptr<const ResourceModel>
+CompileCache::modelFor(std::string_view machineImage,
+                       const MachineDesc &machine)
+{
+    std::lock_guard<std::mutex> lock(modelMutex_);
+    if (!model_ || !machineImageMatches(machineImage, model_->machine()))
+        model_ = std::make_shared<const ResourceModel>(machine);
+    return model_;
 }
 
 void
@@ -361,43 +416,26 @@ CompileCache::lookup(const CacheKey &key, const Dfg &graph,
     if (!readFileBytes(path, bytes))
         return miss();
 
-    ByteReader reader(bytes);
-    uint32_t magic = 0, version = 0;
-    uint64_t loop_hash = 0, machine_hash = 0, options_hash = 0;
-    uint64_t checksum = 0;
-    std::string payload;
-    if (!reader.u32(magic) || !reader.u32(version) ||
-        !reader.u64(loop_hash) || !reader.u64(machine_hash) ||
-        !reader.u64(options_hash) || !reader.u64(checksum) ||
-        !reader.str(payload) || !reader.atEnd() ||
-        magic != entryMagic || version != entryFormatVersion ||
-        loop_hash != key.loopHash || machine_hash != key.machineHash ||
-        options_hash != key.optionsHash ||
-        checksum != hashBytes(payload)) {
+    EntryImage entry;
+    if (!decodeEntry(bytes, entry) ||
+        entry.key.imageHash != key.imageHash ||
+        entry.key.machineHash != key.machineHash ||
+        entry.key.optionsHash != key.optionsHash) {
         dropEntry(key, path);
         return miss();
     }
 
-    ByteReader body(payload);
-    std::string graph_bytes, machine_bytes;
-    CompileResult stored;
-    if (!body.str(graph_bytes) || !body.str(machine_bytes) ||
-        !readCompileResult(body, stored) || !body.atEnd()) {
-        dropEntry(key, path);
-        return miss();
-    }
-
-    // The hash gate: a canonical-hash collision (or an isomorphic
-    // renumbering, which hashes identically on purpose) must not be
-    // served someone else's node ids. Exact bytes or nothing.
-    if (graph_bytes != packDfg(graph) ||
-        machine_bytes != packMachine(machine))
+    // The hash gate: an image-hash collision must not be served
+    // another loop's result. Exact bytes or nothing.
+    if (!dfgImageMatches(entry.graph, graph) ||
+        !machineImageMatches(entry.machine, machine))
         return miss();
 
     // Never trust a stored schedule: re-verify before serving. A
     // stale or corrupted-but-checksummed entry degrades to a miss.
+    CompileResult &stored = entry.result;
     if (stored.success &&
-        !verifySchedule(stored.loop, ResourceModel(machine),
+        !verifySchedule(stored.loop, *modelFor(entry.machine, machine),
                         stored.schedule)) {
         dropEntry(key, path);
         return miss();
@@ -450,7 +488,7 @@ CompileCache::store(const CacheKey &key, const Dfg &graph,
     ByteWriter entry;
     entry.u32(entryMagic);
     entry.u32(entryFormatVersion);
-    entry.u64(key.loopHash);
+    entry.u64(key.imageHash);
     entry.u64(key.machineHash);
     entry.u64(key.optionsHash);
     entry.u64(hashBytes(payload));

@@ -6,17 +6,20 @@
  * batch driver, bench binary and CI job recompiles the same
  * 1327-loop suite on the same machines with the same options. A
  * CompileCache makes that reuse explicit. Compiles are keyed by a
- * CacheKey -- the canonical (renumbering-invariant) loop hash, the
- * machine image hash and the result-relevant pipeline options -- and
- * full CompileResults are stored in a versioned binary format, one
- * file per key, under a cache directory shared across processes.
+ * CacheKey -- the hash of the exact loop image (packDfg), the machine
+ * image hash and the result-relevant pipeline options -- and full
+ * CompileResults are stored in a versioned binary format, one file
+ * per key, under a cache directory shared across processes. Keying
+ * by the exact image means two distinct loops never share an entry
+ * (short of a 64-bit hash collision), so the first write of an entry
+ * wins without locking any other loop out.
  *
  * Safety model ("trust but verify"):
  *
  *  - a hash hit is never served on faith: the entry stores the exact
  *    byte images of the input graph and machine, and both must match
- *    the request verbatim (so a canonical-hash collision or an
- *    isomorphic-but-renumbered request degrades to a miss);
+ *    the request verbatim (so an image-hash collision degrades to a
+ *    miss);
  *  - a served schedule is re-checked by the independent verifier
  *    before it leaves the cache; a corrupted or stale entry is
  *    dropped (and unlinked in rw mode), again degrading to a miss;
@@ -25,9 +28,15 @@
  *    torn entry; readers treat any truncation, bad magic, version
  *    mismatch or checksum failure as a miss.
  *
+ * A hit therefore costs the key (the graph and machine images hashed
+ * as they are walked, never built), one file read, the checksum, a
+ * decode of the stored result, the image gates and the verifier
+ * pass; the renumbering-invariant canonicalLoopHash() runs only on
+ * the miss path, where warm-start hints are read and written.
+ *
  * Warm-start hints. Misses additionally consult a hint store keyed
- * by (loop, machine, scheduler, clustered) only -- options excluded
- * -- mapping to the II a previous compile achieved and the assigner
+ * by (canonical loop hash, machine, scheduler, clustered) only --
+ * options excluded, and isomorphic renumberings alike -- mapping to the II a previous compile achieved and the assigner
  * restart rotation that won. A near-miss recompile (same loop,
  * changed options) probes the hinted II first instead of walking up
  * from MII; the driver verifies that probe unconditionally and falls
@@ -47,8 +56,10 @@
 #define CAMS_PIPELINE_CACHE_COMPILE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "pipeline/cache/hash.hh"
@@ -57,6 +68,8 @@
 
 namespace cams
 {
+
+class ResourceModel;
 
 /** How a cache participates in a run. */
 enum class CacheMode
@@ -75,15 +88,22 @@ bool parseCacheMode(const std::string &text, CacheMode &out);
 /** Content address of one compile. */
 struct CacheKey
 {
-    uint64_t loopHash = 0;    ///< canonicalLoopHash of the input
+    uint64_t imageHash = 0;   ///< hashBytes(packDfg(graph))
     uint64_t machineHash = 0; ///< hash of the machine byte image
     uint64_t optionsHash = 0; ///< result-relevant options + schema
     uint64_t hintSalt = 0;    ///< scheduler + clustered path only
 
-    /** Identity of the full-result entry. */
+    /**
+     * canonicalLoopHash of the input, which keys warm-start hints
+     * only. makeCacheKey leaves it 0 so a hit never pays for it; a
+     * caller fills it on the miss path before hint()/storeHint().
+     */
+    uint64_t loopHash = 0;
+
+    /** Identity of the full-result entry (image, machine, options). */
     uint64_t entryId() const;
 
-    /** Identity of the warm-start hint (options excluded). */
+    /** Identity of the warm-start hint (loop, machine, salt). */
     uint64_t hintId() const;
 
     /** Entry file name: 16 hex digits of entryId() + ".cce". */
@@ -92,8 +112,8 @@ struct CacheKey
 
 /**
  * Derives the content address of one compile. Everything that can
- * change the CompileResult participates: the canonical loop
- * structure, the machine image, the scheduler choice, the assignment
+ * change the CompileResult participates: the exact loop image, the
+ * machine image, the scheduler choice, the assignment
  * policy knobs, verify/fallback/iiSlack/exhaustiveFallbackNodes, the
  * time budget, the clustered-vs-unified path and the tenant
  * namespace salt (CompileOptions::cacheSalt, which also salts the
@@ -183,10 +203,14 @@ class CompileCache
                const MachineDesc &machine,
                const CompileResult &result);
 
-    /** Looks up a warm-start hint. @return true when one exists. */
+    /**
+     * Looks up a warm-start hint by key.hintId(), so key.loopHash
+     * must be filled. @return true when one exists.
+     */
     bool hint(const CacheKey &key, WarmStartHint &out) const;
 
-    /** Records a warm-start hint (ReadWrite only; last write wins). */
+    /** Records a warm-start hint (ReadWrite only; last write wins);
+     *  key.loopHash must be filled. */
     void storeHint(const CacheKey &key, const WarmStartHint &hint);
 
     /**
@@ -239,6 +263,14 @@ class CompileCache
     Shard &shardFor(uint64_t id);
     const Shard &shardFor(uint64_t id) const;
     std::string entryPath(const CacheKey &key) const;
+
+    /**
+     * The resource model hits re-verify against: kept while requests
+     * name the same machine (@p machineImage, already matched against
+     * @p machine), rebuilt when the machine changes.
+     */
+    std::shared_ptr<const ResourceModel>
+    modelFor(std::string_view machineImage, const MachineDesc &machine);
     void scanDirectory();
     void loadHints();
     void dropEntry(const CacheKey &key, const std::string &path);
@@ -249,6 +281,9 @@ class CompileCache
     std::string openError_;
 
     Shard shards_[numShards];
+
+    std::mutex modelMutex_;
+    std::shared_ptr<const ResourceModel> model_;
 
     mutable std::mutex hintMutex_;
     std::unordered_map<uint64_t, WarmStartHint> hints_;

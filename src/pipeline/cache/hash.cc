@@ -7,14 +7,11 @@ namespace cams
 {
 
 uint64_t
-hashBytes(const std::string &bytes)
+hashBytes(std::string_view bytes)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return mix64(h);
+    ByteHasher h;
+    h.add(bytes);
+    return h.value();
 }
 
 namespace

@@ -5,30 +5,32 @@
  * Two ingredients:
  *
  *  - small mixing primitives (splitmix64 finalizer, ordered fold,
- *    FNV-1a over bytes) shared by every key component;
+ *    FNV-1a over bytes) shared by every key component. hashBytes()
+ *    of the exact packDfg image is the loop part of a cache entry's
+ *    identity, so two loops share an entry only when their images
+ *    are equal byte for byte (or collide in 64 bits, which the
+ *    entry's byte-exact gate turns into a miss);
  *  - canonicalLoopHash(), a renumbering-invariant structural hash of
  *    a loop graph. Isomorphic graphs -- same opcodes, latencies and
  *    dependence structure under any node permutation or renaming --
- *    hash identically, so a cache populated by one suite generator
- *    survives cosmetic reorderings of the input.
+ *    hash identically, which is what warm-start hints want: a hint
+ *    learned on one numbering of a loop helps every other one. It
+ *    keys hints only, so it runs on the miss path only.
  *
  * The canonical hash is a Weisfeiler-Leman style refinement: every
  * node starts from its (opcode, latency) color, then absorbs the
  * sorted multiset of its in- and out-edge signatures (edge latency,
  * distance, neighbor color) for a few rounds, and the graph hash is
  * the fold of the sorted final colors. Collisions between
- * non-isomorphic graphs are astronomically unlikely but *possible*;
- * the cache therefore never trusts the hash alone -- every hit is
- * gated on an exact byte comparison of the stored input (see
- * compile_cache.hh), so a collision degrades to a miss, never to a
- * wrong answer.
+ * non-isomorphic graphs are possible; a colliding hint costs one
+ * verified probe, never a wrong answer (see compile_cache.hh).
  */
 
 #ifndef CAMS_PIPELINE_CACHE_HASH_HH
 #define CAMS_PIPELINE_CACHE_HASH_HH
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "graph/dfg.hh"
 
@@ -53,8 +55,31 @@ hashCombine(uint64_t seed, uint64_t value)
                          (seed << 6) + (seed >> 2)));
 }
 
+/**
+ * hashBytes() fed in pieces: adding a byte string in any split gives
+ * the value hashBytes() gives for the whole, so an image can be
+ * hashed as it is produced instead of being built first.
+ */
+class ByteHasher
+{
+  public:
+    void
+    add(std::string_view bytes)
+    {
+        for (const char c : bytes) {
+            h_ ^= static_cast<unsigned char>(c);
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+
+    uint64_t value() const { return mix64(h_); }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
 /** FNV-1a over a byte string, finished through mix64. */
-uint64_t hashBytes(const std::string &bytes);
+uint64_t hashBytes(std::string_view bytes);
 
 /**
  * Renumbering-invariant structural hash of a loop graph. Node and

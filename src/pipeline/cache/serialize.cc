@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "pipeline/cache/hash.hh"
+
 namespace cams
 {
 
@@ -13,20 +15,143 @@ namespace
 constexpr uint64_t maxStringBytes = uint64_t(1) << 28;
 constexpr uint64_t maxListEntries = uint64_t(1) << 24;
 
+/** Smallest packDfg image of one node (op, latency, name length)
+ *  and of one edge (src, dst, latency, distance). */
+constexpr size_t minNodeBytes = 4 + 8 + 8;
+constexpr size_t minEdgeBytes = 4 * 8;
+
+/** Writes the low @p count bytes of @p value little-endian. */
+void
+putLittleEndian(char *out, uint64_t value, size_t count)
+{
+    for (size_t i = 0; i < count; ++i)
+        out[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+/**
+ * The field encoding of ByteWriter, fed to any sink that takes bytes:
+ * the image hash and the byte-exact gate walk a graph or machine
+ * through it without building its image.
+ */
+template <class Sink>
+class FieldSink
+{
+  public:
+    explicit FieldSink(Sink &sink) : sink_(sink) {}
+
+    void u32(uint32_t value) { word(value, 4); }
+    void u64(uint64_t value) { word(value, 8); }
+    void i64(int64_t value) { u64(static_cast<uint64_t>(value)); }
+
+    void
+    str(std::string_view value)
+    {
+        u64(value.size());
+        sink_(value);
+    }
+
+  private:
+    void
+    word(uint64_t value, size_t count)
+    {
+        char buf[8];
+        putLittleEndian(buf, value, count);
+        sink_(std::string_view(buf, count));
+    }
+
+    Sink &sink_;
+};
+
+/** True when the fields @p emit produces spell exactly @p image. */
+template <class Emit>
+bool
+imageMatches(std::string_view image, Emit emit)
+{
+    size_t pos = 0;
+    bool ok = true;
+    auto compare = [&](std::string_view bytes) {
+        if (ok && image.substr(pos, bytes.size()) == bytes)
+            pos += bytes.size();
+        else
+            ok = false;
+    };
+    FieldSink fields(compare);
+    emit(fields);
+    return ok && pos == image.size();
+}
+
+/** hashBytes() of the image the fields @p emit produces. */
+template <class Emit>
+uint64_t
+imageHash(Emit emit)
+{
+    ByteHasher hasher;
+    auto add = [&](std::string_view bytes) { hasher.add(bytes); };
+    FieldSink fields(add);
+    emit(fields);
+    return hasher.value();
+}
+
+/** The packDfg layout, fed to a ByteWriter or a FieldSink. */
+template <class Out>
+void
+emitDfg(Out &w, const Dfg &graph)
+{
+    w.str(graph.name());
+    w.u64(graph.numNodes());
+    for (const DfgNode &node : graph.nodes()) {
+        w.u32(static_cast<uint32_t>(node.op));
+        w.i64(node.latency);
+        w.str(node.name);
+    }
+    w.u64(graph.numEdges());
+    for (const DfgEdge &edge : graph.edges()) {
+        w.i64(edge.src);
+        w.i64(edge.dst);
+        w.i64(edge.latency);
+        w.i64(edge.distance);
+    }
+}
+
+/** The packMachine layout, fed to a ByteWriter or a FieldSink. */
+template <class Out>
+void
+emitMachine(Out &w, const MachineDesc &machine)
+{
+    w.str(machine.name);
+    w.u32(static_cast<uint32_t>(machine.interconnect));
+    w.i64(machine.numBuses);
+    w.u64(machine.clusters.size());
+    for (const ClusterDesc &cluster : machine.clusters) {
+        w.i64(cluster.gpUnits);
+        for (const int units : cluster.fsUnits)
+            w.i64(units);
+        w.i64(cluster.readPorts);
+        w.i64(cluster.writePorts);
+    }
+    w.u64(machine.links.size());
+    for (const LinkDesc &link : machine.links) {
+        w.i64(link.a);
+        w.i64(link.b);
+    }
+}
+
 } // namespace
 
 void
 ByteWriter::u32(uint32_t value)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        out_.push_back(static_cast<char>((value >> shift) & 0xff));
+    char buf[4];
+    putLittleEndian(buf, value, sizeof(buf));
+    out_.append(buf, sizeof(buf));
 }
 
 void
 ByteWriter::u64(uint64_t value)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        out_.push_back(static_cast<char>((value >> shift) & 0xff));
+    char buf[8];
+    putLittleEndian(buf, value, sizeof(buf));
+    out_.append(buf, sizeof(buf));
 }
 
 void
@@ -36,7 +161,7 @@ ByteWriter::f64(double value)
 }
 
 void
-ByteWriter::str(const std::string &value)
+ByteWriter::str(std::string_view value)
 {
     u64(value.size());
     out_.append(value);
@@ -101,6 +226,16 @@ ByteReader::f64(double &out)
 bool
 ByteReader::str(std::string &out)
 {
+    std::string_view value;
+    if (!view(value))
+        return false;
+    out.assign(value);
+    return true;
+}
+
+bool
+ByteReader::view(std::string_view &out)
+{
     uint64_t size = 0;
     if (!u64(size) || size > maxStringBytes) {
         ok_ = false;
@@ -109,7 +244,7 @@ ByteReader::str(std::string &out)
     const char *p = nullptr;
     if (!take(static_cast<size_t>(size), p))
         return false;
-    out.assign(p, static_cast<size_t>(size));
+    out = std::string_view(p, static_cast<size_t>(size));
     return true;
 }
 
@@ -117,25 +252,24 @@ std::string
 packDfg(const Dfg &graph)
 {
     ByteWriter w;
-    w.str(graph.name());
-    w.u64(graph.numNodes());
-    for (const DfgNode &node : graph.nodes()) {
-        w.u32(static_cast<uint32_t>(node.op));
-        w.i64(node.latency);
-        w.str(node.name);
-    }
-    w.u64(graph.numEdges());
-    for (const DfgEdge &edge : graph.edges()) {
-        w.i64(edge.src);
-        w.i64(edge.dst);
-        w.i64(edge.latency);
-        w.i64(edge.distance);
-    }
+    emitDfg(w, graph);
     return w.take();
 }
 
 bool
-readDfg(const std::string &bytes, Dfg &out)
+dfgImageMatches(std::string_view image, const Dfg &graph)
+{
+    return imageMatches(image, [&](auto &w) { emitDfg(w, graph); });
+}
+
+uint64_t
+dfgImageHash(const Dfg &graph)
+{
+    return imageHash([&](auto &w) { emitDfg(w, graph); });
+}
+
+bool
+readDfg(std::string_view bytes, Dfg &out)
 {
     ByteReader r(bytes);
     Dfg graph;
@@ -144,9 +278,13 @@ readDfg(const std::string &bytes, Dfg &out)
         return false;
     graph.setName(std::move(name));
 
+    // A count the remaining bytes cannot hold is garbage: reject it
+    // before it sizes the reservation.
     uint64_t nodes = 0;
-    if (!r.u64(nodes) || nodes > maxListEntries)
+    if (!r.u64(nodes) || nodes > maxListEntries ||
+        nodes > r.remaining() / minNodeBytes)
         return false;
+    graph.reserve(static_cast<int>(nodes), 0);
     for (uint64_t i = 0; i < nodes; ++i) {
         uint32_t op = 0;
         int64_t latency = 0;
@@ -161,8 +299,10 @@ readDfg(const std::string &bytes, Dfg &out)
     }
 
     uint64_t edges = 0;
-    if (!r.u64(edges) || edges > maxListEntries)
+    if (!r.u64(edges) || edges > maxListEntries ||
+        edges > r.remaining() / minEdgeBytes)
         return false;
+    graph.reserve(static_cast<int>(nodes), static_cast<int>(edges));
     for (uint64_t i = 0; i < edges; ++i) {
         int64_t src = 0, dst = 0, latency = 0, distance = 0;
         if (!r.i64(src) || !r.i64(dst) || !r.i64(latency) ||
@@ -188,27 +328,25 @@ std::string
 packMachine(const MachineDesc &machine)
 {
     ByteWriter w;
-    w.str(machine.name);
-    w.u32(static_cast<uint32_t>(machine.interconnect));
-    w.i64(machine.numBuses);
-    w.u64(machine.clusters.size());
-    for (const ClusterDesc &cluster : machine.clusters) {
-        w.i64(cluster.gpUnits);
-        for (const int units : cluster.fsUnits)
-            w.i64(units);
-        w.i64(cluster.readPorts);
-        w.i64(cluster.writePorts);
-    }
-    w.u64(machine.links.size());
-    for (const LinkDesc &link : machine.links) {
-        w.i64(link.a);
-        w.i64(link.b);
-    }
+    emitMachine(w, machine);
     return w.take();
 }
 
 bool
-readMachine(const std::string &bytes, MachineDesc &out)
+machineImageMatches(std::string_view image, const MachineDesc &machine)
+{
+    return imageMatches(image,
+                        [&](auto &w) { emitMachine(w, machine); });
+}
+
+uint64_t
+machineImageHash(const MachineDesc &machine)
+{
+    return imageHash([&](auto &w) { emitMachine(w, machine); });
+}
+
+bool
+readMachine(std::string_view bytes, MachineDesc &out)
 {
     ByteReader r(bytes);
     MachineDesc machine;
@@ -319,10 +457,10 @@ readCompileResult(ByteReader &r, CompileResult &out)
     result.mii.resMii = static_cast<int>(res);
     result.mii.mii = static_cast<int>(mii);
 
-    std::string graph_bytes;
+    std::string_view graph_bytes;
     int64_t originals = 0;
     uint64_t placements = 0;
-    if (!r.str(graph_bytes) ||
+    if (!r.view(graph_bytes) ||
         !readDfg(graph_bytes, result.loop.graph) ||
         !r.i64(originals) || !r.u64(placements) ||
         placements > maxListEntries) {

@@ -15,7 +15,9 @@
  * not round-trip anonymous or duplicate-named nodes), the
  * MachineDesc, and the full CompileResult. packDfg/packMachine are
  * also the exact-match fingerprints the cache compares verbatim
- * before trusting a hash hit.
+ * before trusting a hash hit. The *ImageMatches and *ImageHash
+ * functions compare against and hash those images straight from a
+ * live graph or machine, without building them.
  */
 
 #ifndef CAMS_PIPELINE_CACHE_SERIALIZE_HH
@@ -23,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graph/dfg.hh"
 #include "machine/machine.hh"
@@ -39,7 +42,7 @@ class ByteWriter
     void u64(uint64_t value);
     void i64(int64_t value) { u64(static_cast<uint64_t>(value)); }
     void f64(double value);
-    void str(const std::string &value);
+    void str(std::string_view value);
 
     const std::string &data() const { return out_; }
     std::string take() { return std::move(out_); }
@@ -49,11 +52,13 @@ class ByteWriter
 };
 
 /** Bounds-checked reader over a serialized byte string. Any failed
- *  read latches ok() false and makes every later read fail too. */
+ *  read latches ok() false and makes every later read fail too. The
+ *  reader does not own the bytes: they must outlive it, and so must
+ *  every view() it hands out. */
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
+    explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
 
     bool u32(uint32_t &out);
     bool u64(uint64_t &out);
@@ -61,13 +66,17 @@ class ByteReader
     bool f64(double &out);
     bool str(std::string &out);
 
+    /** Reads a length-prefixed string as a view into the bytes. */
+    bool view(std::string_view &out);
+
     bool ok() const { return ok_; }
     bool atEnd() const { return ok_ && pos_ == bytes_.size(); }
+    size_t remaining() const { return bytes_.size() - pos_; }
 
   private:
     bool take(size_t count, const char *&out);
 
-    const std::string &bytes_;
+    std::string_view bytes_;
     size_t pos_ = 0;
     bool ok_ = true;
 };
@@ -75,14 +84,27 @@ class ByteReader
 /** Exact, id-preserving graph image (also the hit fingerprint). */
 std::string packDfg(const Dfg &graph);
 
+/** True when @p image is exactly packDfg(@p graph). */
+bool dfgImageMatches(std::string_view image, const Dfg &graph);
+
+/** hashBytes(packDfg(@p graph)), without building the image. */
+uint64_t dfgImageHash(const Dfg &graph);
+
 /** Rebuilds a graph from packDfg bytes; false on malformed input. */
-bool readDfg(const std::string &bytes, Dfg &out);
+bool readDfg(std::string_view bytes, Dfg &out);
 
 /** Exact machine image (also the hit fingerprint). */
 std::string packMachine(const MachineDesc &machine);
 
+/** True when @p image is exactly packMachine(@p machine). */
+bool machineImageMatches(std::string_view image,
+                         const MachineDesc &machine);
+
+/** hashBytes(packMachine(@p machine)), without building the image. */
+uint64_t machineImageHash(const MachineDesc &machine);
+
 /** Rebuilds a machine from packMachine bytes. */
-bool readMachine(const std::string &bytes, MachineDesc &out);
+bool readMachine(std::string_view bytes, MachineDesc &out);
 
 /** Serializes a full CompileResult (cache-transient flags excluded). */
 void writeCompileResult(ByteWriter &writer, const CompileResult &result);

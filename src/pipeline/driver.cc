@@ -333,6 +333,11 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         if (probeCache(*options.cache, cache_key, graph, machine,
                        options, result))
             return result;
+        // Warm-start hints, read and written only by the heuristic
+        // backend below, are keyed by the renumbering-invariant hash;
+        // a hit never needs it.
+        if (options.backend == CompileBackend::Heuristic)
+            cache_key.loopHash = canonicalLoopHash(graph);
     }
 
     const Stopwatch total_watch;

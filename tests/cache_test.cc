@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests of the persistent compile cache: canonical-hash invariance
- * under node renumbering, the exact-match gate that keeps isomorphic
- * renumberings from being served someone else's node ids, binary
- * round-trips of CompileResult, rejection of version-mismatched and
- * truncated entries, concurrent read/write through the batch thread
- * pool, and the stale-hint fallback to the cold path.
+ * under node renumbering, entry keys taken from the exact loop image
+ * (so renamed and renumbered twins each get an entry of their own),
+ * the image matchers behind the byte-exact gate, binary round-trips
+ * of CompileResult, rejection of version-mismatched and truncated
+ * entries, concurrent read/write through the batch thread pool, and
+ * the stale-hint fallback to the cold path.
  */
 
 #include <gtest/gtest.h>
@@ -103,6 +104,18 @@ TEST(CacheHash, NamesDoNotParticipate)
               canonicalLoopHash(named));
 }
 
+TEST(CacheHash, ByteHasherMatchesHashBytesInAnySplit)
+{
+    const std::string bytes = packDfg(sampleLoop());
+    for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+        ByteHasher h;
+        h.add(std::string_view(bytes).substr(0, cut));
+        h.add(std::string_view(bytes).substr(cut));
+        ASSERT_EQ(h.value(), hashBytes(bytes)) << "cut " << cut;
+    }
+    EXPECT_EQ(ByteHasher().value(), hashBytes(""));
+}
+
 TEST(CacheSerialize, DfgRoundTripPreservesIds)
 {
     // Anonymous and duplicate-named nodes round-trip exactly -- the
@@ -176,6 +189,51 @@ TEST(CacheSerialize, CompileResultRoundTrip)
     EXPECT_FALSE(back.cacheProbed);
 }
 
+TEST(CacheSerialize, ImageMatchersAgreeWithPack)
+{
+    const Dfg graph = sampleLoop();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const std::string image = packDfg(graph);
+    const std::string machineImage = packMachine(machine);
+    EXPECT_TRUE(dfgImageMatches(image, graph));
+    EXPECT_TRUE(machineImageMatches(machineImage, machine));
+    EXPECT_EQ(dfgImageHash(graph), hashBytes(image));
+    EXPECT_EQ(machineImageHash(machine), hashBytes(machineImage));
+
+    // A strict prefix, a longer image and any one flipped byte all
+    // fail the gate.
+    EXPECT_FALSE(dfgImageMatches(image.substr(0, image.size() - 1),
+                                 graph));
+    EXPECT_FALSE(dfgImageMatches(image + '\0', graph));
+    EXPECT_FALSE(machineImageMatches(machineImage + '\0', machine));
+    for (size_t i = 0; i < image.size(); ++i) {
+        std::string flipped = image;
+        flipped[i] ^= 0x01;
+        EXPECT_FALSE(dfgImageMatches(flipped, graph)) << "byte " << i;
+    }
+    for (size_t i = 0; i < machineImage.size(); ++i) {
+        std::string flipped = machineImage;
+        flipped[i] ^= 0x01;
+        EXPECT_FALSE(machineImageMatches(flipped, machine))
+            << "byte " << i;
+    }
+    // Another loop's image, and a renumbered twin's, do not match.
+    EXPECT_FALSE(dfgImageMatches(
+        packDfg(permuted(graph, {3, 1, 0, 2})), graph));
+}
+
+TEST(CacheSerialize, ReadDfgRejectsCountsTheBytesCannotHold)
+{
+    const Dfg graph = sampleLoop();
+    std::string image = packDfg(graph);
+    Dfg back;
+    ASSERT_TRUE(readDfg(image, back));
+    // The node count follows the length-prefixed loop name.
+    const size_t countAt = 8 + graph.name().size();
+    image[countAt + 2] = 0x01; // 4 nodes -> 65540 nodes
+    EXPECT_FALSE(readDfg(image, back));
+}
+
 TEST(CacheSerialize, ReaderRejectsTruncation)
 {
     ByteWriter writer;
@@ -238,17 +296,72 @@ TEST(CompileCacheTest, IsomorphicRenumberingMissesOnExactMatch)
     options.cache = &cache;
     ASSERT_TRUE(compileClustered(graph, machine, options).success);
 
-    // Same canonical hash, same entry file -- but the byte-exact gate
-    // must refuse to serve the twin another graph's node ids.
+    // Same canonical hash, but the entry is keyed by the exact image:
+    // the twin must not be served another graph's node ids.
     const CacheKey key = makeCacheKey(graph, machine, options, true);
     const CacheKey twinKey = makeCacheKey(twin, machine, options, true);
-    EXPECT_EQ(key.loopHash, twinKey.loopHash);
+    EXPECT_EQ(canonicalLoopHash(graph), canonicalLoopHash(twin));
+    EXPECT_NE(key.entryId(), twinKey.entryId());
     CompileResult out;
     EXPECT_FALSE(cache.lookup(twinKey, twin, machine, out));
 
     const CompileResult res = compileClustered(twin, machine, options);
     EXPECT_TRUE(res.success);
     EXPECT_FALSE(res.fromCache);
+
+    // The twin's own entry serves its second compile.
+    const CompileResult again = compileClustered(twin, machine, options);
+    EXPECT_TRUE(again.fromCache);
+    EXPECT_EQ(again.ii, res.ii);
+}
+
+TEST(CompileCacheTest, KeyTellsApartLoopsWithEqualCanonicalHash)
+{
+    const Dfg graph = sampleLoop();
+    const Dfg twin = permuted(graph, {2, 3, 1, 0});
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const CompileOptions options;
+    ASSERT_EQ(canonicalLoopHash(graph), canonicalLoopHash(twin));
+
+    const CacheKey key = makeCacheKey(graph, machine, options, true);
+    const CacheKey twinKey = makeCacheKey(twin, machine, options, true);
+    EXPECT_NE(key.entryId(), twinKey.entryId());
+    EXPECT_NE(key.fileName(), twinKey.fileName());
+    EXPECT_EQ(key.imageHash, hashBytes(packDfg(graph)));
+    // The canonical hash is left to the miss path.
+    EXPECT_EQ(key.loopHash, 0u);
+    EXPECT_EQ(key.entryId(),
+              makeCacheKey(graph, machine, options, true).entryId());
+}
+
+TEST(CompileCacheTest, RenamedAndRenumberedTwinsGetTheirOwnEntries)
+{
+    const std::string dir = scratchDir("cache_twins");
+    const Dfg graph = sampleLoop();
+    Dfg renamed = sampleLoop();
+    renamed.setName("renamed-twin");
+    renamed.node(2).name = "sum";
+    const Dfg renumbered = permuted(graph, {1, 3, 0, 2});
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+
+    CompileCache cache(dir, CacheMode::ReadWrite);
+    CompileOptions options;
+    options.cache = &cache;
+    const Dfg *const loops[] = {&graph, &renamed, &renumbered};
+    for (const Dfg *loop : loops) {
+        const CompileResult cold = compileClustered(*loop, machine,
+                                                    options);
+        ASSERT_TRUE(cold.success) << loop->name();
+        EXPECT_FALSE(cold.fromCache) << loop->name();
+        const CompileResult warm = compileClustered(*loop, machine,
+                                                    options);
+        EXPECT_TRUE(warm.fromCache) << loop->name();
+        EXPECT_EQ(packDfg(warm.loop.graph), packDfg(cold.loop.graph))
+            << loop->name();
+    }
+    EXPECT_EQ(cache.totals().entries, 3);
+    EXPECT_EQ(cache.totals().hits, 3);
+    EXPECT_EQ(cache.totals().misses, 3);
 }
 
 TEST(CompileCacheTest, RejectsVersionMismatchAndTruncation)
@@ -387,7 +500,8 @@ TEST(CompileCacheTest, WarmStartHintAndStaleFallback)
         << "no loop with II >= MII + 2 in the sample";
 
     CompileOptions options;
-    const CacheKey key = makeCacheKey(*loop, machine, options, true);
+    CacheKey key = makeCacheKey(*loop, machine, options, true);
+    key.loopHash = canonicalLoopHash(*loop);
 
     {
         // A good hint (the achieved II) satisfies the search in one
@@ -543,6 +657,33 @@ TEST(CompileCacheTest, ScrubQuarantinesBitRotAndMisnamedEntries)
     // Quarantined, not deleted: the evidence moves to corrupt/.
     EXPECT_TRUE(fs::exists(fs::path(dir) / "corrupt" /
                            key.fileName()));
+}
+
+TEST(CompileCacheTest, ScrubQuarantinesOldFormatEntries)
+{
+    const std::string dir = scratchDir("cache_scrub_v1");
+    const Dfg graph = sampleLoop();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    CompileOptions options;
+    {
+        CompileCache cache(dir, CacheMode::ReadWrite);
+        options.cache = &cache;
+        ASSERT_TRUE(
+            compileClustered(graph, machine, options).success);
+    }
+    const CacheKey key = makeCacheKey(graph, machine, options, true);
+    const fs::path entry = fs::path(dir) / key.fileName();
+    std::string bytes = slurp(entry);
+    ASSERT_GT(bytes.size(), 8u);
+    // Rewrite the version field (bytes 4..7) to the old format 1.
+    ASSERT_EQ(bytes[4], char(2));
+    bytes[4] = char(1);
+    spill(entry, bytes, bytes.size());
+
+    const ScrubReport report = scrubCacheDir(dir);
+    EXPECT_EQ(report.entriesScanned, 1);
+    EXPECT_EQ(report.quarantined, 1);
+    EXPECT_FALSE(fs::exists(entry));
 }
 
 TEST(CompileCacheTest, ScrubRemovesWriterDebrisAndRebuildsIndex)
