@@ -4,12 +4,14 @@
 #include <array>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <set>
 #include <span>
 
 #include "assign/router.hh"
 #include "assign/selector.hh"
 #include "graph/analysis.hh"
+#include "graph/builder.hh"
 #include "graph/scc.hh"
 #include "pipeline/context.hh"
 #include "support/logging.hh"
@@ -156,9 +158,8 @@ class AssignState
      * resets the MRT.
      */
     void
-    reset(const Adjacency &adjacency)
+    reset()
     {
-        adj_ = &adjacency;
         const int n = graph_.numNodes();
         clusterOf_.assign(n, invalidCluster);
         fuRow_.assign(n, -1);
@@ -168,7 +169,7 @@ class AssignState
         routeMicros_ = 0;
         unassignedSuccs_.assign(n, 0);
         for (NodeId v = 0; v < n; ++v) {
-            for (NodeId succ : adj_->succs(v))
+            for (NodeId succ : graph_.successors(v))
                 unassignedSuccs_[v] += succ != v ? 1 : 0;
         }
         pcrTerm_.assign(n, 0);
@@ -176,13 +177,6 @@ class AssignState
         pcr_.assign(clusters_, 0);
         producerUses_.assign(static_cast<size_t>(n) * clusters_, 0);
         incoming_.assign(clusters_, 0);
-    }
-
-    /** The node's distinct successors, ascending. */
-    std::span<const NodeId>
-    succsOf(NodeId node) const
-    {
-        return adj_->succs(node);
     }
 
     ClusterId clusterOf(NodeId node) const { return clusterOf_[node]; }
@@ -238,7 +232,7 @@ class AssignState
         const Stopwatch route_watch;
         values_.clear();
         values_.push_back(node);
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_.predecessors(node)) {
             if (pred != node && assigned(pred) && !inSyncFor(pred, cluster))
                 values_.push_back(pred);
         }
@@ -293,7 +287,7 @@ class AssignState
         // Predecessor values may stop crossing clusters: shrink their
         // communication. Shrinking can always be re-reserved because
         // the released slots strictly cover the new need.
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_.predecessors(node)) {
             if (pred == node || !assigned(pred) ||
                 inSyncFor(pred, cluster)) {
                 continue;
@@ -414,8 +408,8 @@ class AssignState
                 }
             }
         };
-        count(adj_->preds(node));
-        count(adj_->succs(node));
+        count(graph_.predecessors(node));
+        count(graph_.successors(node));
         return conflicts;
     }
 
@@ -426,12 +420,12 @@ class AssignState
         const int n = graph_.numNodes();
         AnnotatedLoop out;
         out.numOriginalNodes = n;
-        out.graph.setName(graph_.name());
-        out.graph.reserve(n + copyOps_, graph_.numEdges() + copyOps_);
+        DfgBuilder annotated(graph_.name());
+        annotated.reserve(n + copyOps_, graph_.numEdges() + copyOps_);
         out.placement.reserve(n + copyOps_);
 
         for (const DfgNode &node : graph_.nodes()) {
-            out.graph.addNode(node.op, node.latency, node.name);
+            annotated.addNode(node.op, node.latency, node.name);
             cams_check(clusterOf_[node.id] != invalidCluster,
                        "materializing with unassigned node ", node.id);
             out.placement.push_back({clusterOf_[node.id], {}});
@@ -449,9 +443,9 @@ class AssignState
             const std::string base = "cp_" + graph_.node(value).name;
             if (broadcast_) {
                 const NodeId copy =
-                    out.graph.addNode(Opcode::Copy, 1, base);
+                    annotated.addNode(Opcode::Copy, 1, base);
                 out.placement.push_back({comm.src, comm.dsts});
-                out.graph.addEdge(value, copy,
+                annotated.addEdge(value, copy,
                                   graph_.node(value).latency, 0);
                 for (ClusterId dst : comm.dsts)
                     serving[dst] = copy;
@@ -460,16 +454,16 @@ class AssignState
             // Hops are in parent-before-child order.
             for (const ValueComm::HopSlot &slot : comm.hops) {
                 const Hop hop = slot.hop;
-                const NodeId copy = out.graph.addNode(
+                const NodeId copy = annotated.addNode(
                     Opcode::Copy, 1, base + "_" + std::to_string(hop.to));
                 out.placement.push_back({hop.from, {hop.to}});
                 if (hop.from == comm.src) {
-                    out.graph.addEdge(value, copy,
+                    annotated.addEdge(value, copy,
                                       graph_.node(value).latency, 0);
                 } else {
                     cams_check(serving[hop.from] != invalidNode,
                                "hop chain out of order");
-                    out.graph.addEdge(serving[hop.from], copy, 1, 0);
+                    annotated.addEdge(serving[hop.from], copy, 1, 0);
                 }
                 serving[hop.to] = copy;
             }
@@ -479,7 +473,7 @@ class AssignState
             const ClusterId src_cluster = clusterOf_[edge.src];
             const ClusterId dst_cluster = clusterOf_[edge.dst];
             if (src_cluster == dst_cluster) {
-                out.graph.addEdge(edge.src, edge.dst, edge.latency,
+                annotated.addEdge(edge.src, edge.dst, edge.latency,
                                   edge.distance);
                 continue;
             }
@@ -490,8 +484,9 @@ class AssignState
                          dst_cluster];
             cams_check(copy != invalidNode,
                        "value does not reach consumer cluster");
-            out.graph.addEdge(copy, edge.dst, 1, edge.distance);
+            annotated.addEdge(copy, edge.dst, 1, edge.distance);
         }
+        out.graph = annotated.build();
         return out;
     }
 
@@ -550,7 +545,7 @@ class AssignState
     placed(NodeId node)
     {
         const ClusterId cluster = clusterOf_[node];
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_.predecessors(node)) {
             if (pred == node)
                 continue;
             --unassignedSuccs_[pred];
@@ -571,7 +566,7 @@ class AssignState
     void
     unplaced(NodeId node, ClusterId cluster)
     {
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_.predecessors(node)) {
             if (pred == node)
                 continue;
             ++unassignedSuccs_[pred];
@@ -590,28 +585,31 @@ class AssignState
 
 #ifndef NDEBUG
     // The §4.2 predictions recomputed from scratch, as the debug-build
-    // oracle of the running counts: they read the Dfg's own neighbor
-    // queries and the MRT's per-row counts, and share no code with
-    // placed()/unplaced()/refreshPcr().
+    // oracle of the running counts: they scan the edge list and the
+    // MRT's per-row counts, and share no code with the Dfg's neighbor
+    // rows or with placed()/unplaced()/refreshPcr().
 
     /**
-     * PCR_c: over the nodes on the cluster, each node's unassigned
-     * successors, capped by the copies its value can still add.
+     * PCR_c: over the nodes on the cluster, each node's distinct
+     * unassigned successors, capped by the copies its value can still
+     * add.
      */
     int
     scanCopyRequests(ClusterId cluster) const
     {
-        int pcr = 0;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-            if (clusterOf_[v] != cluster)
-                continue;
-            int unassigned_succs = 0;
-            for (NodeId succ : graph_.successors(v)) {
-                if (succ != v && !assigned(succ))
-                    ++unassigned_succs;
+        std::set<std::pair<NodeId, NodeId>> pairs;
+        for (const DfgEdge &edge : graph_.edges()) {
+            if (clusterOf_[edge.src] == cluster && edge.dst != edge.src &&
+                !assigned(edge.dst)) {
+                pairs.insert({edge.src, edge.dst});
             }
-            pcr += std::min(copyBound(v), unassigned_succs);
         }
+        std::map<NodeId, int> unassigned_succs;
+        for (const auto &pair : pairs)
+            ++unassigned_succs[pair.first];
+        int pcr = 0;
+        for (const auto &[v, count] : unassigned_succs)
+            pcr += std::min(copyBound(v), count);
         return pcr;
     }
 
@@ -620,12 +618,10 @@ class AssignState
     scanIncomingProducers(ClusterId cluster) const
     {
         std::set<NodeId> producers;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-            if (clusterOf_[v] != cluster)
-                continue;
-            for (NodeId pred : graph_.predecessors(v)) {
-                if (pred != v && !assigned(pred))
-                    producers.insert(pred);
+        for (const DfgEdge &edge : graph_.edges()) {
+            if (clusterOf_[edge.dst] == cluster && edge.src != edge.dst &&
+                !assigned(edge.src)) {
+                producers.insert(edge.src);
             }
         }
         return static_cast<int>(producers.size());
@@ -688,7 +684,7 @@ class AssignState
 
         // Sorted-unique destination set.
         desired_.clear();
-        for (NodeId succ : adj_->succs(value)) {
+        for (NodeId succ : graph_.successors(value)) {
             if (succ != value && assigned(succ) &&
                 clusterOf_[succ] != src) {
                 desired_.push_back(clusterOf_[succ]);
@@ -831,8 +827,6 @@ class AssignState
     const bool broadcast_;
     const int clusters_;
     FaultInjector *faults_ = nullptr;
-    /** Packed neighbor lists of the attempt's LoopContext. */
-    const Adjacency *adj_ = nullptr;
     int64_t routeMicros_ = 0;
     Mrt &mrt_;
     std::vector<ClusterId> clusterOf_;
@@ -987,7 +981,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
 
     mrt.reset(ii);
     AssignState &state = scratch.state;
-    state.reset(ctx.adjacency());
+    state.reset();
     const Stopwatch order_watch;
     const SccInfo &sccs = ctx.sccs();
     // The swing order below is built from the §4.1 priority sets.
@@ -1283,7 +1277,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                     // around the forced placement. (The node is not
                     // yet assigned, so remoteness is measured against
                     // the forced cluster.)
-                    for (NodeId succ : state.succsOf(node)) {
+                    for (NodeId succ : graph.successors(node)) {
                         if (succ != node && state.assigned(succ) &&
                             state.clusterOf(succ) != forced) {
                             victims.push_back(succ);

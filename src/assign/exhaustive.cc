@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "assign/router.hh"
+#include "graph/builder.hh"
 #include "graph/recmii.hh"
 #include "support/logging.hh"
 
@@ -18,9 +19,9 @@ annotatePartition(const Dfg &graph,
 {
     AnnotatedLoop out;
     out.numOriginalNodes = graph.numNodes();
-    out.graph.setName(graph.name());
+    DfgBuilder annotated(graph.name());
     for (const DfgNode &node : graph.nodes()) {
-        out.graph.addNode(node.op, node.latency, node.name);
+        annotated.addNode(node.op, node.latency, node.name);
         out.placement.push_back({cluster_of[node.id], {}});
     }
 
@@ -42,9 +43,9 @@ annotatePartition(const Dfg &graph,
         const std::string base = "cp_" + graph.node(v).name;
         if (machine.broadcast()) {
             const NodeId copy =
-                out.graph.addNode(Opcode::Copy, 1, base);
+                annotated.addNode(Opcode::Copy, 1, base);
             out.placement.push_back({cluster_of[v], dsts});
-            out.graph.addEdge(v, copy, graph.node(v).latency, 0);
+            annotated.addEdge(v, copy, graph.node(v).latency, 0);
             for (ClusterId dst : dsts)
                 serving[v][dst] = copy;
         } else {
@@ -52,15 +53,15 @@ annotatePartition(const Dfg &graph,
             std::vector<NodeId> landing(machine.numClusters(),
                                         invalidNode);
             for (const Hop &hop : hops) {
-                const NodeId copy = out.graph.addNode(
+                const NodeId copy = annotated.addNode(
                     Opcode::Copy, 1,
                     base + "_" + std::to_string(hop.to));
                 out.placement.push_back({hop.from, {hop.to}});
                 if (hop.from == cluster_of[v]) {
-                    out.graph.addEdge(v, copy, graph.node(v).latency,
+                    annotated.addEdge(v, copy, graph.node(v).latency,
                                       0);
                 } else {
-                    out.graph.addEdge(landing[hop.from], copy, 1, 0);
+                    annotated.addEdge(landing[hop.from], copy, 1, 0);
                 }
                 landing[hop.to] = copy;
                 serving[v][hop.to] = copy;
@@ -70,13 +71,14 @@ annotatePartition(const Dfg &graph,
 
     for (const DfgEdge &edge : graph.edges()) {
         if (cluster_of[edge.src] == cluster_of[edge.dst]) {
-            out.graph.addEdge(edge.src, edge.dst, edge.latency,
+            annotated.addEdge(edge.src, edge.dst, edge.latency,
                               edge.distance);
         } else {
-            out.graph.addEdge(serving[edge.src][cluster_of[edge.dst]],
+            annotated.addEdge(serving[edge.src][cluster_of[edge.dst]],
                               edge.dst, 1, edge.distance);
         }
     }
+    out.graph = annotated.build();
     return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/builder.hh"
 #include "graph/opcode.hh"
 #include "support/logging.hh"
 
@@ -11,7 +12,7 @@ namespace cams
 
 ExactEncoder::ExactEncoder(const Dfg &graph, const ResourceModel &model)
     : graph_(graph), model_(model),
-      numClusters_(model.machine().numClusters()), adjacency_(graph)
+      numClusters_(model.machine().numClusters())
 {
     const int n = graph_.numNodes();
     eligible_.resize(n);
@@ -25,7 +26,7 @@ ExactEncoder::ExactEncoder(const Dfg &graph, const ResourceModel &model)
                 eligible_[v].push_back(c);
         }
         maxLatency_ = std::max(maxLatency_, graph_.node(v).latency);
-        for (const NodeId succ : adjacency_.succs(v)) {
+        for (const NodeId succ : graph_.successors(v)) {
             if (succ != v)
                 copyCapable_[v] = 1;
         }
@@ -364,7 +365,7 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
                        asap_[v] + std::max(graph_.node(v).latency, 0));
         // Destination universe: every cluster some consumer may use,
         // ascending.
-        for (const NodeId succ : adjacency_.succs(v)) {
+        for (const NodeId succ : graph_.successors(v)) {
             if (succ == v)
                 continue;
             for (const ClusterId c : eligible_[succ])
@@ -532,9 +533,9 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
     // canonical structure.
     loop = AnnotatedLoop{};
     loop.numOriginalNodes = n;
-    loop.graph.setName(graph_.name());
+    DfgBuilder annotated(graph_.name());
     for (const DfgNode &node : graph_.nodes()) {
-        loop.graph.addNode(node.op, node.latency, node.name);
+        annotated.addNode(node.op, node.latency, node.name);
         loop.placement.push_back({clusterOf[node.id], {}});
     }
 
@@ -550,7 +551,7 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
     std::vector<char> reached(C);
     for (NodeId v = 0; v < n; ++v) {
         std::fill(reached.begin(), reached.end(), 0);
-        for (const NodeId succ : adjacency_.succs(v)) {
+        for (const NodeId succ : graph_.successors(v)) {
             if (succ != v && clusterOf[succ] != clusterOf[v])
                 reached[clusterOf[succ]] = 1;
         }
@@ -561,26 +562,27 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
         }
         if (dsts.empty())
             continue;
-        const NodeId copy = loop.graph.addNode(
+        const NodeId copy = annotated.addNode(
             Opcode::Copy, 1, "cp_" + graph_.node(v).name);
         for (const ClusterId dst : dsts)
             serving[static_cast<size_t>(v) * C + dst] = copy;
         loop.placement.push_back({clusterOf[v], std::move(dsts)});
-        loop.graph.addEdge(v, copy, graph_.node(v).latency, 0);
+        annotated.addEdge(v, copy, graph_.node(v).latency, 0);
         schedule.startCycle.push_back(
             decodeStart(solver, copyOrderOf(v)));
     }
     for (const DfgEdge &edge : graph_.edges()) {
         if (clusterOf[edge.src] == clusterOf[edge.dst]) {
-            loop.graph.addEdge(edge.src, edge.dst, edge.latency,
-                               edge.distance);
+            annotated.addEdge(edge.src, edge.dst, edge.latency,
+                              edge.distance);
         } else {
-            loop.graph.addEdge(
+            annotated.addEdge(
                 serving[static_cast<size_t>(edge.src) * C +
                         clusterOf[edge.dst]],
                 edge.dst, 1, edge.distance);
         }
     }
+    loop.graph = annotated.build();
 }
 
 } // namespace cams

@@ -26,7 +26,8 @@
  * 1 at the original distance), so a decoded model round-trips through
  * AnnotatedLoop::validate and the independent verifier unchanged.
  * Point-to-point (multi-hop) machines are not encoded; the caller
- * reports them as unsupported.
+ * reports them as unsupported. The encoder reads neighbors from the
+ * loop's own Dfg rows and keeps no second copy of the graph.
  *
  * Completeness over the horizon: any feasible schedule can be shifted
  * (uniformly, preserving rows and dependences) so its earliest start
@@ -48,7 +49,6 @@
 
 #include "assign/assignment.hh"
 #include "exact/sat.hh"
-#include "graph/adjacency.hh"
 #include "graph/dfg.hh"
 #include "mrt/mrt.hh"
 #include "sched/schedule.hh"
@@ -131,7 +131,6 @@ class ExactEncoder
     int numClusters_ = 0;
 
     // II-independent facts, computed once.
-    Adjacency adjacency_;
     std::vector<std::vector<ClusterId>> eligible_;
     std::vector<int> asap_;       ///< d=0 longest-path lower bounds
     std::vector<char> copyCapable_; ///< has a non-self successor

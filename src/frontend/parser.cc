@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "graph/builder.hh"
 #include "support/logging.hh"
 
 namespace cams
@@ -577,10 +578,11 @@ class Generator
         const NodeId branch = graph_.addNode(Opcode::Branch, -1, "br");
         graph_.addEdge(counter, branch, -1, 0);
 
+        Dfg graph = graph_.build();
         std::string why;
-        cams_assert(graph_.wellFormed(&why), "frontend built a bad "
+        cams_assert(graph.wellFormed(&why), "frontend built a bad "
                     "graph: ", why);
-        return std::move(graph_);
+        return graph;
     }
 
   private:
@@ -836,7 +838,7 @@ class Generator
     }
 
     const Parser &parsed_;
-    Dfg graph_;
+    DfgBuilder graph_;
     std::set<std::string> assignedScalars_;
     std::set<std::string> storedArrays_;
     std::map<std::string, Value> scalarDef_;

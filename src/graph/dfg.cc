@@ -1,64 +1,12 @@
 #include "graph/dfg.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 
 namespace cams
 {
 
-NodeId
-Dfg::addNode(Opcode op, int latency, std::string name)
-{
-    DfgNode node;
-    node.id = static_cast<NodeId>(nodes_.size());
-    node.op = op;
-    node.latency = latency < 0 ? opcodeLatency(op) : latency;
-    node.name = std::move(name);
-    if (node.name.empty())
-        node.name = opcodeName(op) + std::to_string(node.id);
-    nodes_.push_back(std::move(node));
-    out_.emplace_back();
-    in_.emplace_back();
-    return nodes_.back().id;
-}
-
-void
-Dfg::reserve(int nodes, int edges)
-{
-    nodes_.reserve(nodes);
-    out_.reserve(nodes);
-    in_.reserve(nodes);
-    edges_.reserve(edges);
-}
-
-EdgeId
-Dfg::addEdge(NodeId src, NodeId dst, int latency, int distance)
-{
-    cams_assert(src >= 0 && src < numNodes(), "bad edge src ", src);
-    cams_assert(dst >= 0 && dst < numNodes(), "bad edge dst ", dst);
-    cams_assert(distance >= 0, "negative edge distance");
-    DfgEdge edge;
-    edge.id = static_cast<EdgeId>(edges_.size());
-    edge.src = src;
-    edge.dst = dst;
-    edge.latency = latency < 0 ? nodes_[src].latency : latency;
-    edge.distance = distance;
-    edges_.push_back(edge);
-    out_[src].push_back(edge.id);
-    in_[dst].push_back(edge.id);
-    return edge.id;
-}
-
 const DfgNode &
 Dfg::node(NodeId id) const
-{
-    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
-    return nodes_[id];
-}
-
-DfgNode &
-Dfg::node(NodeId id)
 {
     cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
     return nodes_[id];
@@ -71,40 +19,36 @@ Dfg::edge(EdgeId id) const
     return edges_[id];
 }
 
-const std::vector<EdgeId> &
+std::span<const int>
+Dfg::row(const Rows &rows, NodeId id) const
+{
+    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
+    return {rows.ids.data() + rows.off[id],
+            rows.ids.data() + rows.off[id + 1]};
+}
+
+std::span<const EdgeId>
 Dfg::outEdges(NodeId id) const
 {
-    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
-    return out_[id];
+    return row(out_, id);
 }
 
-const std::vector<EdgeId> &
+std::span<const EdgeId>
 Dfg::inEdges(NodeId id) const
 {
-    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
-    return in_[id];
+    return row(in_, id);
 }
 
-std::vector<NodeId>
+std::span<const NodeId>
 Dfg::successors(NodeId id) const
 {
-    std::vector<NodeId> result;
-    for (EdgeId e : outEdges(id))
-        result.push_back(edges_[e].dst);
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
-    return result;
+    return row(succs_, id);
 }
 
-std::vector<NodeId>
+std::span<const NodeId>
 Dfg::predecessors(NodeId id) const
 {
-    std::vector<NodeId> result;
-    for (EdgeId e : inEdges(id))
-        result.push_back(edges_[e].src);
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
-    return result;
+    return row(preds_, id);
 }
 
 int

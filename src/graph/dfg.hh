@@ -8,14 +8,25 @@
  * spans; 0 for intra-iteration, >= 1 for loop-carried / recurrence
  * edges).
  *
- * The container is append-only: cluster assignment never mutates the
- * input graph, it produces a new, annotated graph with copy operations
- * spliced in (see assign/assignment.hh).
+ * A Dfg is immutable. DfgBuilder (graph/builder.hh) is the only way to
+ * make one, and its build() lays out the neighbor index once, as four
+ * CSR relations over the edge table: the in- and out-edge ids of each
+ * node, in edge-id order, and its distinct predecessor and successor
+ * ids, ascending. Every neighbor query returns a span into that index,
+ * so the hot paths (the swing order, the §4.2 copy predictions, the
+ * SMS/IMS windows) read neighbors without allocating. Since nothing
+ * is built lazily, one const Dfg can be read by several compile jobs
+ * at once.
+ *
+ * Cluster assignment never mutates the input graph: it builds a new,
+ * annotated graph with copy operations spliced in (see
+ * assign/assignment.hh).
  */
 
 #ifndef CAMS_GRAPH_DFG_HH
 #define CAMS_GRAPH_DFG_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,22 +70,12 @@ struct DfgEdge
     int distance = 0;
 };
 
-/** Append-only data-flow graph with adjacency indexing. */
+/** Immutable data-flow graph with a CSR neighbor index. */
 class Dfg
 {
   public:
-    /** Adds a node; latency < 0 means "use the opcode default". */
-    NodeId addNode(Opcode op, int latency = -1, std::string name = "");
-
-    /**
-     * Adds a dependence edge.
-     * @param latency < 0 means "use the producer's latency".
-     */
-    EdgeId addEdge(NodeId src, NodeId dst, int latency = -1,
-                   int distance = 0);
-
-    /** Pre-sizes the node and edge tables for a graph of known size. */
-    void reserve(int nodes, int edges);
+    /** The empty graph; DfgBuilder makes every other one. */
+    Dfg() = default;
 
     /** Number of nodes. */
     int numNodes() const { return static_cast<int>(nodes_.size()); }
@@ -88,20 +89,17 @@ class Dfg
     /** Edge accessor (checked). */
     const DfgEdge &edge(EdgeId id) const;
 
-    /** Mutable node accessor (checked); used by builders only. */
-    DfgNode &node(NodeId id);
+    /** Outgoing edge ids of a node, ascending (checked). */
+    std::span<const EdgeId> outEdges(NodeId id) const;
 
-    /** Outgoing edge ids of a node. */
-    const std::vector<EdgeId> &outEdges(NodeId id) const;
+    /** Incoming edge ids of a node, ascending (checked). */
+    std::span<const EdgeId> inEdges(NodeId id) const;
 
-    /** Incoming edge ids of a node. */
-    const std::vector<EdgeId> &inEdges(NodeId id) const;
+    /** Distinct successor node ids, ascending (checked). */
+    std::span<const NodeId> successors(NodeId id) const;
 
-    /** Distinct successor node ids (duplicates collapsed). */
-    std::vector<NodeId> successors(NodeId id) const;
-
-    /** Distinct predecessor node ids (duplicates collapsed). */
-    std::vector<NodeId> predecessors(NodeId id) const;
+    /** Distinct predecessor node ids, ascending (checked). */
+    std::span<const NodeId> predecessors(NodeId id) const;
 
     /** All nodes, in id order. */
     const std::vector<DfgNode> &nodes() const { return nodes_; }
@@ -118,14 +116,24 @@ class Dfg
     /** Optional loop name used by reports. */
     const std::string &name() const { return name_; }
 
-    /** Sets the loop name. */
-    void setName(std::string name) { name_ = std::move(name); }
-
   private:
+    friend class DfgBuilder;
+
+    /** One relation in CSR form: row v is ids[off[v], off[v + 1]). */
+    struct Rows
+    {
+        std::vector<int> off;
+        std::vector<int> ids;
+    };
+
+    std::span<const int> row(const Rows &rows, NodeId id) const;
+
     std::vector<DfgNode> nodes_;
     std::vector<DfgEdge> edges_;
-    std::vector<std::vector<EdgeId>> out_;
-    std::vector<std::vector<EdgeId>> in_;
+    Rows out_;
+    Rows in_;
+    Rows succs_;
+    Rows preds_;
     std::string name_;
 };
 

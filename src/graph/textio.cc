@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "graph/builder.hh"
 #include "support/str.hh"
 
 namespace cams
@@ -31,7 +32,7 @@ lineError(int line_no, const std::string &message)
 bool
 parseDfg(const std::string &text, Dfg &out, std::string &error)
 {
-    Dfg graph;
+    DfgBuilder graph;
     std::map<std::string, NodeId> names;
     std::istringstream input(text);
     std::string line;
@@ -113,7 +114,7 @@ parseDfg(const std::string &text, Dfg &out, std::string &error)
         }
     }
 
-    out = std::move(graph);
+    out = graph.build();
     error.clear();
     return true;
 }

@@ -9,6 +9,12 @@
  * assignment this minimizes the chance of assigning a node whose
  * predecessors and successors already sit on different clusters; for
  * the SMS scheduler itself it minimizes value lifetimes.
+ *
+ * The sweep keeps each candidate's frontier and ordered-neighbor
+ * predicates as running counters over the Dfg's neighbor rows,
+ * updated in O(degree) when a node is ordered. tests/order_test.cc
+ * checks the result against a reference that rescans the edge list
+ * for every candidate in every round.
  */
 
 #ifndef CAMS_ORDER_SWING_ORDER_HH
@@ -16,7 +22,6 @@
 
 #include <vector>
 
-#include "graph/adjacency.hh"
 #include "graph/analysis.hh"
 #include "graph/dfg.hh"
 #include "order/scc_sets.hh"
@@ -30,14 +35,10 @@ namespace cams
  *
  * @param timing a timing analysis at the candidate II (depth = asap,
  *        height drives criticality tie-breaks).
- * @param adjacency optional packed neighbor lists of the same graph;
- *        when given, the sweep reads them instead of rebuilding
- *        neighbor vectors per candidate (identical results).
  * @return every node exactly once, highest assignment priority first.
  */
 std::vector<NodeId> swingOrder(const Dfg &graph, const NodeSets &sets,
-                               const TimeAnalysis &timing,
-                               const Adjacency *adjacency = nullptr);
+                               const TimeAnalysis &timing);
 
 /** Convenience overload: builds SCC sets and timing at the given II. */
 std::vector<NodeId> swingOrder(const Dfg &graph, int ii);

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "graph/builder.hh"
 #include "pipeline/cache/hash.hh"
 
 namespace cams
@@ -272,7 +273,7 @@ bool
 readDfg(std::string_view bytes, Dfg &out)
 {
     ByteReader r(bytes);
-    Dfg graph;
+    DfgBuilder graph;
     std::string name;
     if (!r.str(name))
         return false;
@@ -320,7 +321,7 @@ readDfg(std::string_view bytes, Dfg &out)
     }
     if (!r.atEnd())
         return false;
-    out = std::move(graph);
+    out = graph.build();
     return true;
 }
 

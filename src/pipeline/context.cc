@@ -26,18 +26,6 @@ LoopContext::sccs()
     return *sccs_;
 }
 
-const Adjacency &
-LoopContext::adjacency()
-{
-    if (!adjacency_) {
-        ++misses_;
-        adjacency_.emplace(*graph_);
-    } else {
-        ++hits_;
-    }
-    return *adjacency_;
-}
-
 const NodeSets &
 LoopContext::prioritySets()
 {
@@ -128,8 +116,7 @@ LoopContext::swingOrder(int ii)
         return order_;
     }
     ++misses_;
-    order_ = cams::swingOrder(*graph_, prioritySets(), timing(ii),
-                              &adjacency());
+    order_ = cams::swingOrder(*graph_, prioritySets(), timing(ii));
     orderIi_ = ii;
     return order_;
 }

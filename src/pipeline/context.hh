@@ -20,10 +20,16 @@
  *   instead of the binary search, with monotone bounds remembered
  *   across probes).
  *
+ * Neighbor lists are not cached here: the Dfg's own CSR index, laid
+ * out once by DfgBuilder, serves them as spans to the assigner, the
+ * schedulers and the exact encoder alike.
+ *
  * Every cached fact is a unique fixpoint or a deterministic function
  * result, equal to what the standalone analyses (findSccs,
- * analyzeTiming, recMii, swingOrder) return for the same graph;
- * tests/context_test.cc compares them. The context is the only way
+ * analyzeTiming, recMii) return for the same graph;
+ * tests/context_test.cc compares them, and tests/order_test.cc checks
+ * the cached swing order against a reference that rescans the edge
+ * list. The context is the only way
  * the assigner and the schedulers read these facts: a caller that
  * passes none gets a call-local context, and the golden digests of
  * tests/golden_test.cc pin the outputs.
@@ -40,7 +46,6 @@
 #include <vector>
 
 #include "assign/assignment.hh"
-#include "graph/adjacency.hh"
 #include "graph/analysis.hh"
 #include "graph/dfg.hh"
 #include "graph/scc.hh"
@@ -64,14 +69,6 @@ class LoopContext
 
     /** The Section 4.1 priority sets (computed once). */
     const NodeSets &prioritySets();
-
-    /**
-     * Packed neighbor lists (computed once). The assigner evaluates
-     * predecessors/successors for every (node, cluster) candidate;
-     * reading them as spans instead of rebuilding sorted vectors is
-     * the single largest win of the context.
-     */
-    const Adjacency &adjacency();
 
     /**
      * Whole-graph RecMII. Derived from the priority sets' per-SCC
@@ -124,7 +121,6 @@ class LoopContext
 
     std::optional<SccInfo> sccs_;
     std::optional<NodeSets> sets_;
-    std::optional<Adjacency> adjacency_;
     std::optional<int> recMii_;
     std::optional<TimingSolver> timingSolver_;
 

@@ -20,7 +20,8 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
     std::optional<LoopContext> local;
     if (!ctx)
         ctx = &local.emplace(loop.graph);
-    const int n = loop.graph.numNodes();
+    const Dfg &graph = loop.graph;
+    const int n = graph.numNodes();
     if (n == 0) {
         out.ii = ii;
         out.startCycle.clear();
@@ -35,7 +36,6 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
     // order is materialized once as a permutation, and the list is a
     // bitmap over priority indices with a moving minimum cursor, so
     // displacements never allocate.
-    const Adjacency &adj = ctx->adjacency();
     std::vector<NodeId> byPrio(n);
     for (NodeId v = 0; v < n; ++v)
         byPrio[v] = v;
@@ -99,10 +99,11 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
         // intermediate product, then range-checked into int once: all
         // start-cycle math below stays int.
         long estart_wide = 0;
-        for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.inEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.src == op || !placed[edge.src])
                 continue;
-            const long bound = start[edge.node] + edge.latency -
+            const long bound = start[edge.src] + edge.latency -
                                static_cast<long>(ii) * edge.distance;
             estart_wide = std::max(estart_wide, bound);
         }
@@ -168,22 +169,24 @@ IterativeModuloScheduler::schedule(const AnnotatedLoop &loop,
 
         // Displace successors whose dependence the new start violates
         // (and predecessors, which can only happen on forced moves).
-        for (const AdjEdge &edge : adj.outEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.outEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.dst == op || !placed[edge.dst])
                 continue;
-            if (start[edge.node] <
+            if (start[edge.dst] <
                 start[op] + edge.latency -
                     static_cast<long>(ii) * edge.distance) {
-                unschedule(edge.node);
+                unschedule(edge.dst);
             }
         }
-        for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.inEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.src == op || !placed[edge.src])
                 continue;
             if (start[op] <
-                start[edge.node] + edge.latency -
+                start[edge.src] + edge.latency -
                     static_cast<long>(ii) * edge.distance) {
-                unschedule(edge.node);
+                unschedule(edge.src);
             }
         }
     }

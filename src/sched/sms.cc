@@ -19,7 +19,8 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
     std::optional<LoopContext> local;
     if (!ctx)
         ctx = &local.emplace(loop.graph);
-    const int n = loop.graph.numNodes();
+    const Dfg &graph = loop.graph;
+    const int n = graph.numNodes();
     if (n == 0) {
         out.ii = ii;
         out.startCycle.clear();
@@ -42,7 +43,6 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
     // The list is a rank-indexed bitmap with a moving minimum cursor:
     // pops (lowest rank first, i.e. order[r]) and ejection re-inserts
     // are allocation-free.
-    const Adjacency &adj = ctx->adjacency();
     std::vector<char> pendingRank(n, 1);
     int minRank = 0;
     int npending = n;
@@ -95,17 +95,19 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
         // Windows anchored to the already placed neighbors.
         long early = kNone;
         long late = kNone;
-        for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.inEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.src == op || !placed[edge.src])
                 continue;
-            const long bound = start[edge.node] + edge.latency -
+            const long bound = start[edge.src] + edge.latency -
                                static_cast<long>(ii) * edge.distance;
             early = std::max(early, bound);
         }
-        for (const AdjEdge &edge : adj.outEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.outEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.dst == op || !placed[edge.dst])
                 continue;
-            const long bound = start[edge.node] - edge.latency +
+            const long bound = start[edge.dst] - edge.latency +
                                static_cast<long>(ii) * edge.distance;
             late = (late == kNone) ? bound : std::min(late, bound);
         }
@@ -190,22 +192,24 @@ SwingModuloScheduler::schedule(const AnnotatedLoop &loop,
         placed[op] = true;
 
         // Eject neighbors whose dependence the new start violates.
-        for (const AdjEdge &edge : adj.outEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.outEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.dst == op || !placed[edge.dst])
                 continue;
-            if (start[edge.node] <
+            if (start[edge.dst] <
                 start[op] + edge.latency -
                     static_cast<long>(ii) * edge.distance) {
-                unschedule(edge.node);
+                unschedule(edge.dst);
             }
         }
-        for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+        for (EdgeId e : graph.inEdges(op)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.src == op || !placed[edge.src])
                 continue;
             if (start[op] <
-                start[edge.node] + edge.latency -
+                start[edge.src] + edge.latency -
                     static_cast<long>(ii) * edge.distance) {
-                unschedule(edge.node);
+                unschedule(edge.src);
             }
         }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/builder.hh"
 #include "support/logging.hh"
 
 namespace cams
@@ -12,8 +13,7 @@ Dfg
 unrollLoop(const Dfg &graph, int factor)
 {
     cams_assert(factor >= 1, "unroll factor must be positive");
-    Dfg out;
-    out.setName(graph.name() + "_x" + std::to_string(factor));
+    DfgBuilder out(graph.name() + "_x" + std::to_string(factor));
     const int n = graph.numNodes();
 
     for (int copy = 0; copy < factor; ++copy) {
@@ -30,7 +30,7 @@ unrollLoop(const Dfg &graph, int factor)
             out.addEdge(src, dst, edge.latency, target / factor);
         }
     }
-    return out;
+    return out.build();
 }
 
 ListScheduleResult

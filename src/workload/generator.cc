@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/builder.hh"
 #include "support/logging.hh"
 
 namespace cams
@@ -42,8 +43,8 @@ generateLoop(uint64_t seed, const GeneratorParams &params,
              const std::string &name)
 {
     Rng rng(seed);
-    Dfg graph;
-    graph.setName(name.empty() ? "synth" + std::to_string(seed) : name);
+    DfgBuilder graph(name.empty() ? "synth" + std::to_string(seed)
+                                  : name);
 
     const int n =
         rng.lognormalInt(params.nodeMu, params.nodeSigma,
@@ -222,7 +223,7 @@ generateLoop(uint64_t seed, const GeneratorParams &params,
         232,
         static_cast<int>(params.edgeFactor * n * density_noise + 0.5));
     int attempts = 4 * target;
-    while (graph.numEdges() < target && attempts-- > 0 &&
+    while (static_cast<int>(edge_set.size()) < target && attempts-- > 0 &&
            body_count >= 2) {
         const NodeId dst = rng.uniformInt(1, body_count - 1);
         const NodeId src = pickProducer(dst);
@@ -233,10 +234,11 @@ generateLoop(uint64_t seed, const GeneratorParams &params,
         addEdge(src, dst, distance);
     }
 
-    cams_assert(graph.numNodes() == n, "node count drifted");
+    Dfg loop = graph.build();
+    cams_assert(loop.numNodes() == n, "node count drifted");
     std::string why;
-    cams_assert(graph.wellFormed(&why), "generated a bad graph: ", why);
-    return graph;
+    cams_assert(loop.wellFormed(&why), "generated a bad graph: ", why);
+    return loop;
 }
 
 } // namespace cams

@@ -224,8 +224,9 @@ TEST(Assign, NonIterativeFailsWhereIterativeSucceeds)
 
 TEST(Assign, RejectsGraphWithCopies)
 {
-    Dfg graph;
-    graph.addNode(Opcode::Copy);
+    DfgBuilder builder;
+    builder.addNode(Opcode::Copy);
+    const Dfg graph = builder.build();
     const ResourceModel model(busedGpMachine(2, 2, 1));
     ClusterAssigner assigner(model);
     EXPECT_DEATH({ assigner.run(graph, 4); }, "must not contain copies");

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <vector>
 
+#include "graph/builder.hh"
 #include "machine/configs.hh"
 #include "pipeline/batch.hh"
 #include "pipeline/cache/compile_cache.hh"
@@ -43,8 +44,7 @@ scratchDir(const std::string &name)
 Dfg
 sampleLoop()
 {
-    Dfg graph;
-    graph.setName("sample");
+    DfgBuilder graph("sample");
     const NodeId load = graph.addNode(Opcode::Load);
     const NodeId mul = graph.addNode(Opcode::FpMult);
     const NodeId add = graph.addNode(Opcode::IntAlu);
@@ -53,7 +53,24 @@ sampleLoop()
     graph.addEdge(mul, add);
     graph.addEdge(add, store);
     graph.addEdge(add, mul, -1, 1); // recurrence
-    return graph;
+    return graph.build();
+}
+
+/** A builder holding a copy of the graph, each node passed through
+ *  @p edit first: a built graph never changes, so variants of one
+ *  are rebuilt. */
+template <typename Edit>
+DfgBuilder
+copyOf(const Dfg &graph, Edit edit)
+{
+    DfgBuilder out(graph.name());
+    for (DfgNode node : graph.nodes()) {
+        edit(node);
+        out.addNode(node.op, node.latency, node.name);
+    }
+    for (const DfgEdge &edge : graph.edges())
+        out.addEdge(edge.src, edge.dst, edge.latency, edge.distance);
+    return out;
 }
 
 /** Rebuilds a graph with nodes added in permuted order (and fresh
@@ -62,8 +79,7 @@ sampleLoop()
 Dfg
 permuted(const Dfg &graph, const std::vector<NodeId> &perm)
 {
-    Dfg out;
-    out.setName("permuted");
+    DfgBuilder out("permuted");
     std::vector<NodeId> newId(perm.size());
     for (size_t i = 0; i < perm.size(); ++i) {
         const DfgNode &node = graph.node(perm[i]);
@@ -75,7 +91,7 @@ permuted(const Dfg &graph, const std::vector<NodeId> &perm)
         out.addEdge(newId[edge.src], newId[edge.dst], edge.latency,
                     edge.distance);
     }
-    return out;
+    return out.build();
 }
 
 TEST(CacheHash, InvariantUnderRenumbering)
@@ -86,22 +102,28 @@ TEST(CacheHash, InvariantUnderRenumbering)
     EXPECT_EQ(h, canonicalLoopHash(permuted(graph, {2, 3, 1, 0})));
 
     // Structure changes move the hash: a different opcode...
-    Dfg other = permuted(graph, {0, 1, 2, 3});
-    other.node(1).op = Opcode::IntAlu;
+    const Dfg other = copyOf(permuted(graph, {0, 1, 2, 3}),
+                             [](DfgNode &node) {
+                                 if (node.id == 1)
+                                     node.op = Opcode::IntAlu;
+                             })
+                          .build();
     EXPECT_NE(h, canonicalLoopHash(other));
     // ...or a different dependence distance.
-    Dfg far = sampleLoop();
+    DfgBuilder far = copyOf(sampleLoop(), [](DfgNode &) {});
     far.addEdge(0, 3, -1, 2);
-    EXPECT_NE(h, canonicalLoopHash(far));
+    EXPECT_NE(h, canonicalLoopHash(far.build()));
 }
 
 TEST(CacheHash, NamesDoNotParticipate)
 {
-    Dfg named = sampleLoop();
+    DfgBuilder named = copyOf(sampleLoop(), [](DfgNode &node) {
+        if (node.id == 0)
+            node.name = "renamed";
+    });
     named.setName("completely-different");
-    named.node(0).name = "renamed";
     EXPECT_EQ(canonicalLoopHash(sampleLoop()),
-              canonicalLoopHash(named));
+              canonicalLoopHash(named.build()));
 }
 
 TEST(CacheHash, ByteHasherMatchesHashBytesInAnySplit)
@@ -120,12 +142,13 @@ TEST(CacheSerialize, DfgRoundTripPreservesIds)
 {
     // Anonymous and duplicate-named nodes round-trip exactly -- the
     // property the text format cannot provide.
-    Dfg graph;
-    graph.addNode(Opcode::Load, -1, "dup");
-    graph.addNode(Opcode::IntAlu, -1, "dup");
-    graph.addNode(Opcode::Store); // anonymous
-    graph.addEdge(0, 1);
-    graph.addEdge(1, 2, 7, 3);
+    DfgBuilder builder;
+    builder.addNode(Opcode::Load, -1, "dup");
+    builder.addNode(Opcode::IntAlu, -1, "dup");
+    builder.addNode(Opcode::Store); // anonymous
+    builder.addEdge(0, 1);
+    builder.addEdge(1, 2, 7, 3);
+    const Dfg graph = builder.build();
 
     Dfg back;
     ASSERT_TRUE(readDfg(packDfg(graph), back));
@@ -338,9 +361,12 @@ TEST(CompileCacheTest, RenamedAndRenumberedTwinsGetTheirOwnEntries)
 {
     const std::string dir = scratchDir("cache_twins");
     const Dfg graph = sampleLoop();
-    Dfg renamed = sampleLoop();
-    renamed.setName("renamed-twin");
-    renamed.node(2).name = "sum";
+    DfgBuilder twin = copyOf(graph, [](DfgNode &node) {
+        if (node.id == 2)
+            node.name = "sum";
+    });
+    twin.setName("renamed-twin");
+    const Dfg renamed = twin.build();
     const Dfg renumbered = permuted(graph, {1, 3, 0, 2});
     const MachineDesc machine = busedGpMachine(2, 2, 1);
 

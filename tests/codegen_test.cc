@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/emit.hh"
+#include "graph/builder.hh"
 #include "machine/configs.hh"
 #include "pipeline/driver.hh"
 #include "workload/kernels.hh"
@@ -146,11 +147,11 @@ TEST(Codegen, MveKernelUnrollsByTheFactor)
 TEST(Codegen, MveKernelNamesInstancesExplicitly)
 {
     // A value with lifetime above II gets #instance suffixes.
-    Dfg graph;
-    const NodeId a = graph.addNode(Opcode::Load);
-    const NodeId b = graph.addNode(Opcode::Store);
-    graph.addEdge(a, b);
-    const AnnotatedLoop loop = unifiedLoop(graph);
+    DfgBuilder builder;
+    const NodeId a = builder.addNode(Opcode::Load);
+    const NodeId b = builder.addNode(Opcode::Store);
+    builder.addEdge(a, b);
+    const AnnotatedLoop loop = unifiedLoop(builder.build());
     Schedule schedule;
     schedule.ii = 2;
     schedule.startCycle = {0, 5};
@@ -168,8 +169,9 @@ TEST(Codegen, MveKernelNamesInstancesExplicitly)
 TEST(Codegen, SingleStageLoopHasEmptyFill)
 {
     // A loop whose schedule fits one stage needs no prologue ops.
-    Dfg graph;
-    graph.addNode(Opcode::IntAlu);
+    DfgBuilder builder;
+    builder.addNode(Opcode::IntAlu);
+    const Dfg graph = builder.build();
     const MachineDesc machine = unifiedGpMachine(8);
     const CompileResult result = compileUnified(graph, machine);
     ASSERT_TRUE(result.success);

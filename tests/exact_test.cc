@@ -15,6 +15,7 @@
 #include "exact/encode.hh"
 #include "exact/exact.hh"
 #include "exact/sat.hh"
+#include "graph/builder.hh"
 #include "graph/dfg.hh"
 #include "machine/configs.hh"
 #include "mrt/mrt.hh"
@@ -153,8 +154,7 @@ TEST(SatSolver, ConflictBudgetIsDeterministic)
 Dfg
 twoChainLoop()
 {
-    Dfg graph;
-    graph.setName("two_chain");
+    DfgBuilder graph("two_chain");
     const NodeId a0 = graph.addNode(Opcode::Load);
     const NodeId a1 = graph.addNode(Opcode::IntAlu);
     const NodeId a2 = graph.addNode(Opcode::FpMult);
@@ -171,7 +171,7 @@ twoChainLoop()
     graph.addEdge(b2, join);
     graph.addEdge(join, store);
     graph.addEdge(join, a1, -1, 1); // recurrence through chain A
-    return graph;
+    return graph.build();
 }
 
 TEST(ExactEncoder, RoundTripsThroughVerifier)

@@ -4,6 +4,9 @@
  * container, the builder, text round-tripping and DOT output.
  */
 
+#include <algorithm>
+#include <span>
+
 #include <gtest/gtest.h>
 
 #include "graph/builder.hh"
@@ -11,6 +14,7 @@
 #include "graph/dot.hh"
 #include "graph/opcode.hh"
 #include "graph/textio.hh"
+#include "workload/suite.hh"
 
 namespace cams
 {
@@ -55,10 +59,13 @@ TEST(Opcode, NameRoundTrip)
 
 TEST(Dfg, AddNodesAndEdges)
 {
-    Dfg graph;
-    const NodeId a = graph.addNode(Opcode::Load);
-    const NodeId b = graph.addNode(Opcode::FpMult, 5, "custom");
-    graph.addEdge(a, b);
+    DfgBuilder builder;
+    const NodeId a = builder.addNode(Opcode::Load);
+    const NodeId b = builder.addNode(Opcode::FpMult, 5, "custom");
+    builder.addEdge(a, b);
+    EXPECT_EQ(builder.numNodes(), 2);
+    EXPECT_EQ(builder.node(a).name, "ld0"); // opcode name plus id
+    const Dfg graph = builder.build();
     EXPECT_EQ(graph.numNodes(), 2);
     EXPECT_EQ(graph.numEdges(), 1);
     EXPECT_EQ(graph.node(a).latency, 2); // Load default
@@ -68,34 +75,145 @@ TEST(Dfg, AddNodesAndEdges)
     EXPECT_EQ(graph.edge(0).distance, 0);
 }
 
-TEST(Dfg, AdjacencyAndDedup)
+template <typename T>
+std::vector<T>
+asVector(std::span<const T> row)
 {
-    Dfg graph;
-    const NodeId a = graph.addNode(Opcode::IntAlu);
-    const NodeId b = graph.addNode(Opcode::IntAlu);
-    graph.addEdge(a, b);
-    graph.addEdge(a, b, -1, 1); // parallel edge, different distance
-    EXPECT_EQ(graph.outEdges(a).size(), 2u);
-    EXPECT_EQ(graph.inEdges(b).size(), 2u);
-    EXPECT_EQ(graph.successors(a), std::vector<NodeId>{b});
-    EXPECT_EQ(graph.predecessors(b), std::vector<NodeId>{a});
+    return {row.begin(), row.end()};
+}
+
+/**
+ * The CSR index against a scan of edges(): in/out edge ids are the
+ * edge list filtered by endpoint, in id order, and the neighbor rows
+ * are the sorted, distinct far endpoints.
+ */
+void
+expectIndexMatchesEdges(const Dfg &graph)
+{
+    for (NodeId v = 0; v < graph.numNodes(); ++v) {
+        std::vector<EdgeId> in, out;
+        std::vector<NodeId> preds, succs;
+        for (const DfgEdge &edge : graph.edges()) {
+            if (edge.dst == v) {
+                in.push_back(edge.id);
+                preds.push_back(edge.src);
+            }
+            if (edge.src == v) {
+                out.push_back(edge.id);
+                succs.push_back(edge.dst);
+            }
+        }
+        for (auto *ids : {&preds, &succs}) {
+            std::sort(ids->begin(), ids->end());
+            ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+        }
+        EXPECT_EQ(asVector(graph.inEdges(v)), in) << "node " << v;
+        EXPECT_EQ(asVector(graph.outEdges(v)), out) << "node " << v;
+        EXPECT_EQ(asVector(graph.predecessors(v)), preds) << "node " << v;
+        EXPECT_EQ(asVector(graph.successors(v)), succs) << "node " << v;
+    }
+}
+
+TEST(Dfg, IndexParallelEdgesAndSelfLoop)
+{
+    DfgBuilder builder;
+    const NodeId a = builder.addNode(Opcode::IntAlu);
+    const NodeId b = builder.addNode(Opcode::IntAlu);
+    builder.addNode(Opcode::Load); // isolated
+    builder.addEdge(a, b);
+    builder.addEdge(b, b, -1, 1); // self-loop
+    builder.addEdge(a, b, -1, 1); // parallel edge, different distance
+    const Dfg graph = builder.build();
+    EXPECT_EQ(asVector(graph.outEdges(a)), (std::vector<EdgeId>{0, 2}));
+    EXPECT_EQ(asVector(graph.inEdges(b)), (std::vector<EdgeId>{0, 1, 2}));
+    EXPECT_EQ(asVector(graph.successors(a)), std::vector<NodeId>{b});
+    EXPECT_EQ(asVector(graph.predecessors(b)), (std::vector<NodeId>{a, b}));
+    EXPECT_EQ(asVector(graph.successors(b)), std::vector<NodeId>{b});
+    EXPECT_TRUE(graph.inEdges(2).empty());
+    EXPECT_TRUE(graph.successors(2).empty());
+    expectIndexMatchesEdges(graph);
+}
+
+TEST(Dfg, IndexWithoutEdges)
+{
+    const Dfg empty;
+    EXPECT_EQ(empty.numNodes(), 0);
+    EXPECT_EQ(DfgBuilder().build().numEdges(), 0);
+
+    DfgBuilder builder;
+    builder.addNode(Opcode::Load);
+    builder.addNode(Opcode::Store);
+    const Dfg graph = builder.build();
+    for (NodeId v = 0; v < graph.numNodes(); ++v) {
+        EXPECT_TRUE(graph.inEdges(v).empty());
+        EXPECT_TRUE(graph.outEdges(v).empty());
+        EXPECT_TRUE(graph.predecessors(v).empty());
+        EXPECT_TRUE(graph.successors(v).empty());
+    }
+    expectIndexMatchesEdges(graph);
+}
+
+TEST(Dfg, IndexWithAppendedCopies)
+{
+    // The assigner's layout: originals first, then a copy node per
+    // crossing value, and the copy edges ahead of the original ones,
+    // so edge ids do not follow node ids.
+    DfgBuilder builder;
+    const NodeId a = builder.addNode(Opcode::Load);
+    const NodeId b = builder.addNode(Opcode::IntAlu);
+    const NodeId c = builder.addNode(Opcode::Store);
+    const NodeId cp = builder.addNode(Opcode::Copy, 1, "cp_a");
+    builder.addEdge(a, cp);              // 0
+    builder.addEdge(b, c);               // 1
+    builder.addEdge(cp, c, 1, 0);        // 2
+    builder.addEdge(cp, b, 1, 1);        // 3
+    builder.addEdge(a, b);               // 4
+    const Dfg graph = builder.build();
+    EXPECT_EQ(asVector(graph.outEdges(a)), (std::vector<EdgeId>{0, 4}));
+    EXPECT_EQ(asVector(graph.successors(a)), (std::vector<NodeId>{b, cp}));
+    EXPECT_EQ(asVector(graph.inEdges(c)), (std::vector<EdgeId>{1, 2}));
+    EXPECT_EQ(asVector(graph.predecessors(b)), (std::vector<NodeId>{a, cp}));
+    expectIndexMatchesEdges(graph);
+}
+
+TEST(Dfg, IndexOfEverySuiteLoop)
+{
+    for (const Dfg &loop : buildSuite()) {
+        SCOPED_TRACE(loop.name());
+        expectIndexMatchesEdges(loop);
+    }
+}
+
+TEST(Dfg, RejectsBadIdsAndEdges)
+{
+    DfgBuilder builder;
+    builder.addNode(Opcode::IntAlu);
+    EXPECT_DEATH({ builder.addEdge(0, 1); }, "bad edge dst");
+    EXPECT_DEATH({ builder.addEdge(-1, 0); }, "bad edge src");
+    EXPECT_DEATH({ builder.addEdge(0, 0, -1, -1); }, "negative edge distance");
+    EXPECT_DEATH({ builder.node(1); }, "bad node id");
+    const Dfg graph = builder.build();
+    EXPECT_DEATH({ graph.node(1); }, "bad node id");
+    EXPECT_DEATH({ graph.edge(0); }, "bad edge id");
+    EXPECT_DEATH({ graph.inEdges(1); }, "bad node id");
+    EXPECT_DEATH({ graph.successors(-1); }, "bad node id");
 }
 
 TEST(Dfg, TotalLatency)
 {
-    Dfg graph;
-    graph.addNode(Opcode::Load);   // 2
-    graph.addNode(Opcode::FpMult); // 3
-    EXPECT_EQ(graph.totalLatency(), 5);
+    DfgBuilder builder;
+    builder.addNode(Opcode::Load);   // 2
+    builder.addNode(Opcode::FpMult); // 3
+    EXPECT_EQ(builder.build().totalLatency(), 5);
 }
 
 TEST(Dfg, WellFormed)
 {
-    Dfg graph;
-    const NodeId a = graph.addNode(Opcode::IntAlu);
-    graph.addEdge(a, a, -1, 1);
+    DfgBuilder builder;
+    const NodeId a = builder.addNode(Opcode::IntAlu);
+    builder.addEdge(a, a, -1, 1);
     std::string why;
-    EXPECT_TRUE(graph.wellFormed(&why)) << why;
+    EXPECT_TRUE(builder.build().wellFormed(&why)) << why;
 }
 
 TEST(Builder, NamedConstruction)

@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for priority-set grouping and the swing node order.
+ * Unit tests for priority-set grouping and the swing node order,
+ * including a rescan reference the production order is checked
+ * against on suite loops.
  */
 
 #include <algorithm>
@@ -8,8 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.hh"
+#include "machine/configs.hh"
 #include "order/scc_sets.hh"
 #include "order/swing_order.hh"
+#include "pipeline/context.hh"
+#include "sched/mii.hh"
+#include "workload/suite.hh"
 
 namespace cams
 {
@@ -35,6 +41,112 @@ twoRecurrences()
         .carried("m2", "m1", 1)
         .flow("c2", "post")
         .build();
+}
+
+/**
+ * The swing order as a plain rescan: every round re-derives each
+ * candidate's frontier and ordered-neighbor predicates by scanning the
+ * whole edge list, so it shares no code with swingOrder's running
+ * counters or with the Dfg's neighbor rows. Ties and the preference
+ * order of the picks are those swing_order.cc documents.
+ */
+std::vector<NodeId>
+referenceSwingOrder(const Dfg &graph, const NodeSets &sets,
+                    const TimeAnalysis &timing)
+{
+    const int n = graph.numNodes();
+    std::vector<bool> ordered(n, false);
+    std::vector<bool> pending(n, false);
+    std::vector<NodeId> result;
+    const auto &depth = timing.asap;
+    const auto &height = timing.height;
+
+    // No pending distance-0 neighbor on the given side (loop-carried
+    // edges and self-loops never block).
+    auto ready = [&](NodeId v, bool top_down) {
+        for (const DfgEdge &edge : graph.edges()) {
+            const NodeId near = top_down ? edge.dst : edge.src;
+            const NodeId far = top_down ? edge.src : edge.dst;
+            if (near == v && far != v && edge.distance == 0 &&
+                pending[far]) {
+                return false;
+            }
+        }
+        return true;
+    };
+    // Some other node already ordered on the given side.
+    auto orderedNeighbor = [&](NodeId v, bool preds) {
+        for (const DfgEdge &edge : graph.edges()) {
+            const NodeId near = preds ? edge.dst : edge.src;
+            const NodeId far = preds ? edge.src : edge.dst;
+            if (near == v && far != v && ordered[far])
+                return true;
+        }
+        return false;
+    };
+    auto betterTopDown = [&](NodeId a, NodeId b) {
+        if (depth[a] != depth[b])
+            return depth[a] > depth[b];
+        if (height[a] != height[b])
+            return height[a] > height[b];
+        return a < b;
+    };
+    auto betterBottomUp = [&](NodeId a, NodeId b) {
+        if (height[a] != height[b])
+            return height[a] > height[b];
+        if (depth[a] != depth[b])
+            return depth[a] > depth[b];
+        return a < b;
+    };
+    auto improve = [](NodeId &best, NodeId v, auto better) {
+        if (best == invalidNode || better(v, best))
+            best = v;
+    };
+
+    for (const auto &set : sets.sets) {
+        std::vector<NodeId> members;
+        for (NodeId v : set) {
+            if (!ordered[v]) {
+                pending[v] = true;
+                members.push_back(v);
+            }
+        }
+        for (size_t left = members.size(); left > 0; --left) {
+            NodeId best_td = invalidNode;
+            NodeId best_bu = invalidNode;
+            NodeId frontier_td = invalidNode;
+            NodeId frontier_bu = invalidNode;
+            NodeId any = invalidNode;
+            for (NodeId v : members) {
+                if (!pending[v])
+                    continue;
+                improve(any, v, betterBottomUp);
+                if (ready(v, true)) {
+                    improve(frontier_td, v, betterTopDown);
+                    if (orderedNeighbor(v, true))
+                        improve(best_td, v, betterTopDown);
+                }
+                if (ready(v, false)) {
+                    improve(frontier_bu, v, betterBottomUp);
+                    if (orderedNeighbor(v, false))
+                        improve(best_bu, v, betterBottomUp);
+                }
+            }
+            NodeId pick = any;
+            if (best_bu != invalidNode)
+                pick = best_bu;
+            else if (best_td != invalidNode)
+                pick = best_td;
+            else if (frontier_td != invalidNode)
+                pick = frontier_td;
+            else if (frontier_bu != invalidNode)
+                pick = frontier_bu;
+            pending[pick] = false;
+            ordered[pick] = true;
+            result.push_back(pick);
+        }
+    }
+    return result;
 }
 
 TEST(SccSets, MostCriticalFirst)
@@ -115,7 +227,7 @@ TEST(SwingOrder, CriticalSccLeads)
     EXPECT_EQ(head, (std::vector<NodeId>{1, 2}));
 }
 
-TEST(SwingOrder, NeighborAdjacency)
+TEST(SwingOrder, OrderedNeighborFirst)
 {
     // On a chain, the swing order should emit each node adjacent to an
     // already ordered neighbor (no jumps that strand a node between
@@ -183,6 +295,23 @@ TEST(SwingOrder, DisconnectedComponents)
                     .build();
     const auto order = swingOrder(graph, 1);
     EXPECT_EQ(order.size(), 3u);
+}
+
+TEST(SwingOrder, MatchesRescanReferenceOnSuite)
+{
+    const MachineDesc machine = busedGpMachine(2, 2, 1).unifiedEquivalent();
+    for (const Dfg &loop : buildSuite(240)) {
+        SCOPED_TRACE(loop.name());
+        const NodeSets sets = buildPrioritySets(loop, findSccs(loop));
+        const int mii = computeMii(loop, machine).mii;
+        LoopContext ctx(loop);
+        for (int ii = mii; ii <= mii + 2; ++ii) {
+            EXPECT_EQ(ctx.swingOrder(ii),
+                      referenceSwingOrder(loop, sets,
+                                          analyzeTiming(loop, ii)))
+                << "II " << ii;
+        }
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "assign/exhaustive.hh"
+#include "graph/builder.hh"
 #include "machine/configs.hh"
 #include "pipeline/driver.hh"
 #include "workload/kernels.hh"
@@ -30,8 +31,9 @@ TEST(Oracle, TooLargeGraphsAreRefused)
 
 TEST(Oracle, TrivialLoopFeasibleAtOne)
 {
-    Dfg graph;
-    graph.addNode(Opcode::IntAlu);
+    DfgBuilder builder;
+    builder.addNode(Opcode::IntAlu);
+    const Dfg graph = builder.build();
     const ResourceModel model(busedGpMachine(2, 2, 1));
     EXPECT_EQ(exhaustiveFeasible(graph, model, 1),
               ExhaustiveVerdict::Feasible);
@@ -40,9 +42,10 @@ TEST(Oracle, TrivialLoopFeasibleAtOne)
 TEST(Oracle, DetectsResourceInfeasibility)
 {
     // 10 ops on total width 8 cannot fit at II 1.
-    Dfg graph;
+    DfgBuilder builder;
     for (int i = 0; i < 10; ++i)
-        graph.addNode(Opcode::IntAlu);
+        builder.addNode(Opcode::IntAlu);
+    const Dfg graph = builder.build();
     const ResourceModel model(busedGpMachine(2, 2, 1));
     EXPECT_EQ(exhaustiveFeasible(graph, model, 1),
               ExhaustiveVerdict::Infeasible);

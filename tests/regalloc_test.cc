@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/builder.hh"
 #include "machine/configs.hh"
 #include "pipeline/driver.hh"
 #include "regalloc/regalloc.hh"
@@ -22,11 +23,11 @@ namespace
 Dfg
 loadStoreChain()
 {
-    Dfg graph;
+    DfgBuilder graph;
     const NodeId a = graph.addNode(Opcode::Load);
     const NodeId b = graph.addNode(Opcode::Store);
     graph.addEdge(a, b);
-    return graph;
+    return graph.build();
 }
 
 TEST(RegAlloc, SimpleChain)

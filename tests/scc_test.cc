@@ -125,10 +125,10 @@ TEST(Scc, LargeCycleSingleComponent)
 
 TEST(Scc, DisconnectedNodes)
 {
-    Dfg graph;
-    graph.addNode(Opcode::Load);
-    graph.addNode(Opcode::Load);
-    const SccInfo info = findSccs(graph);
+    DfgBuilder builder;
+    builder.addNode(Opcode::Load);
+    builder.addNode(Opcode::Load);
+    const SccInfo info = findSccs(builder.build());
     EXPECT_EQ(info.numComponents(), 2);
     EXPECT_EQ(info.numNonTrivial(), 0);
 }

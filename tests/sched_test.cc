@@ -55,10 +55,10 @@ TEST(Mii, ResMiiFsIsPerClassMax)
 
 TEST(Mii, CopiesExcluded)
 {
-    Dfg graph;
-    graph.addNode(Opcode::IntAlu);
-    graph.addNode(Opcode::Copy);
-    EXPECT_EQ(resMii(graph, unifiedGpMachine(1)), 1);
+    DfgBuilder builder;
+    builder.addNode(Opcode::IntAlu);
+    builder.addNode(Opcode::Copy);
+    EXPECT_EQ(resMii(builder.build(), unifiedGpMachine(1)), 1);
 }
 
 TEST(Mii, MaxOfRecAndRes)
@@ -121,11 +121,11 @@ TEST(Verifier, CatchesDependenceViolation)
 
 TEST(Verifier, CatchesResourceOverflow)
 {
-    Dfg graph;
-    graph.addNode(Opcode::IntAlu);
-    graph.addNode(Opcode::IntAlu);
+    DfgBuilder builder;
+    builder.addNode(Opcode::IntAlu);
+    builder.addNode(Opcode::IntAlu);
     const ResourceModel model(unifiedGpMachine(1));
-    const AnnotatedLoop loop = unifiedLoop(graph);
+    const AnnotatedLoop loop = unifiedLoop(builder.build());
     Schedule bad;
     bad.ii = 2;
     bad.startCycle = {0, 2}; // same row 0 on a 1-wide machine

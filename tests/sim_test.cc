@@ -77,8 +77,9 @@ TEST(Reference, RecurrenceEvolves)
 
 TEST(Reference, RejectsAnnotatedGraphs)
 {
-    Dfg graph;
-    graph.addNode(Opcode::Copy);
+    DfgBuilder builder;
+    builder.addNode(Opcode::Copy);
+    const Dfg graph = builder.build();
     EXPECT_DEATH({ ReferenceTrace trace(graph, 1); }, "annotated");
 }
 

@@ -15,7 +15,8 @@ following hold:
     audit that times out on most loops proves nothing, so bound how
     much of the suite the exact arm must actually decide.
 
-Malformed or incomplete input fails with a one-line error.
+Malformed or incomplete input fails with a one-line error and exit
+status 2, so an input error never reads as a gate verdict.
 
 Usage:
   tools/check_exact_gap.py BENCH_exact_gap.json \
@@ -27,19 +28,25 @@ import json
 import sys
 
 
+def die(message: str):
+    """Input errors exit 2, so they never pass for a gate verdict."""
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load_json(path: str) -> dict:
     """Loads the audit file, translating every failure mode into a
-    clear one-line error (exit 2) instead of a traceback."""
+    clear one-line error instead of a traceback."""
     try:
         with open(path) as f:
             data = json.load(f)
     except OSError as err:
-        sys.exit(f"error: cannot read '{path}': {err.strerror}")
+        die(f"cannot read '{path}': {err.strerror}")
     except json.JSONDecodeError as err:
-        sys.exit(f"error: '{path}' is not valid JSON: {err}")
+        die(f"'{path}' is not valid JSON: {err}")
     if not isinstance(data, dict):
-        sys.exit(
-            f"error: '{path}' must be a JSON object, got "
+        die(
+            f"'{path}' must be a JSON object, got "
             f"{type(data).__name__}"
         )
     return data
@@ -48,8 +55,8 @@ def load_json(path: str) -> dict:
 def require(data: dict, key: str, kinds, where: str):
     value = data.get(key)
     if isinstance(value, bool) or not isinstance(value, kinds):
-        sys.exit(
-            f"error: {where} is missing field '{key}' (found "
+        die(
+            f"{where} is missing field '{key}' (found "
             f"{value!r}); was it produced by bench/optimality_gap?"
         )
     return value
@@ -69,8 +76,8 @@ def main() -> int:
 
     data = load_json(args.bench)
     if data.get("bench") != "exact_gap":
-        sys.exit(
-            f"error: '{args.bench}' has bench kind "
+        die(
+            f"'{args.bench}' has bench kind "
             f"{data.get('bench')!r}, expected 'exact_gap'"
         )
     require(data, "loops", int, args.bench)
@@ -80,14 +87,14 @@ def main() -> int:
     )
     machines = require(data, "machines", list, args.bench)
     if not machines:
-        sys.exit(f"error: '{args.bench}' audited zero machines")
+        die(f"'{args.bench}' audited zero machines")
 
     failures = []
     decided = 0
     for i, machine in enumerate(machines):
         where = f"{args.bench} machines[{i}]"
         if not isinstance(machine, dict):
-            sys.exit(f"error: {where} is not a JSON object")
+            die(f"{where} is not a JSON object")
         name = require(machine, "machine", str, where)
         violations = require(machine, "violations", int, where)
         max_gap = require(machine, "max_gap", int, where)
