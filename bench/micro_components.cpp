@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the compiler's building blocks:
- * SCC decomposition, RecMII, swing ordering, MRT operations, cluster
- * assignment and the two schedulers, over generated loops of several
- * sizes; and the compile cache's hit path (key derivation, lookup)
- * over the suite loops.
+ * SCC decomposition, RecMII, the order analyses and the swing sweep
+ * (timed apart), MRT operations, cluster assignment and the two
+ * schedulers, over generated loops of several sizes; and the compile
+ * cache's hit path (key derivation, lookup) over the suite loops.
  */
 
 #include <benchmark/benchmark.h>
@@ -58,13 +58,30 @@ BM_RecMii(benchmark::State &state)
 }
 BENCHMARK(BM_RecMii)->Arg(16)->Arg(64)->Arg(161);
 
+/** The order layer's analyses: SCCs, priority sets, timing. */
+void
+BM_OrderAnalyses(benchmark::State &state)
+{
+    const Dfg graph = loopOfSize(static_cast<int>(state.range(0)));
+    const int ii = recMii(graph);
+    for (auto _ : state) {
+        const SccInfo sccs = findSccs(graph);
+        benchmark::DoNotOptimize(buildPrioritySets(graph, sccs));
+        benchmark::DoNotOptimize(analyzeTiming(graph, ii));
+    }
+}
+BENCHMARK(BM_OrderAnalyses)->Arg(16)->Arg(64)->Arg(161);
+
+/** The swing sweep alone, over analyses computed once. */
 void
 BM_SwingOrder(benchmark::State &state)
 {
     const Dfg graph = loopOfSize(static_cast<int>(state.range(0)));
     const int ii = recMii(graph);
+    const NodeSets sets = buildPrioritySets(graph, findSccs(graph));
+    const TimeAnalysis timing = analyzeTiming(graph, ii);
     for (auto _ : state)
-        benchmark::DoNotOptimize(swingOrder(graph, ii));
+        benchmark::DoNotOptimize(swingOrder(graph, sets, timing));
 }
 BENCHMARK(BM_SwingOrder)->Arg(16)->Arg(64)->Arg(161);
 

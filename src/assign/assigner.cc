@@ -928,19 +928,7 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
     int invariant_failures = 0;
     double order_ms = 0.0;
     double route_ms = 0.0;
-    // A preferred rotation (the cache's warm-start replay) jumps the
-    // queue; the others keep their canonical order behind it, so the
-    // same set of rotations is explored either way.
-    const int preferred = options_.preferredRotation;
-    const bool replay = preferred > 0 && preferred < restarts;
-    for (int attempt = 0; attempt < restarts; ++attempt) {
-        int rotation = attempt;
-        if (replay) {
-            if (attempt == 0)
-                rotation = preferred;
-            else if (attempt <= preferred)
-                rotation = attempt - 1;
-        }
+    for (int rotation = 0; rotation < restarts; ++rotation) {
         try {
             result = runAttempt(graph, ii, rotation, mrt, scratch, *ctx);
         } catch (const InternalError &err) {
@@ -963,7 +951,6 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
         result.routeMillis = route_ms;
         result.invariantFailures = invariant_failures;
         result.wordScans = mrt.wordScans() - scan_base;
-        result.rotationUsed = rotation;
         if (result.success)
             return result;
     }

@@ -94,15 +94,6 @@ struct AssignOptions
     int restartsPerIi = 3;
 
     /**
-     * Tie-break rotation to try first; -1 (or out of range) keeps
-     * the canonical 0, 1, ... order. Set by the compile cache's
-     * warm-start path to replay the rotation that succeeded last
-     * time; the remaining rotations still follow in canonical order,
-     * so the set of attempts is unchanged -- only their order.
-     */
-    int preferredRotation = -1;
-
-    /**
      * Optional fault injector (non-owning; stress testing only).
      * Sites consulted: AssignEvictionStorm vetoes the selection
      * cascade's winner, RouterBusExhaustion fails a copy reservation.
@@ -150,13 +141,6 @@ struct AssignResult
 
     /** Restarts abandoned because a cams_check invariant fired. */
     int invariantFailures = 0;
-
-    /**
-     * Tie-break rotation of the last attempt (the successful one when
-     * success is true). Stored in the compile cache's warm-start
-     * hints so a recompile can try the winning rotation first.
-     */
-    int rotationUsed = 0;
 
     /**
      * Wall time of the §4.1 ordering work (SCC sets, timing, swing

@@ -110,12 +110,11 @@ emitMveKernel(const AnnotatedLoop &loop, const Schedule &schedule,
     auto regName = [&](NodeId producer, long iteration) {
         const ValueAllocation *value = allocation.of(producer);
         cams_assert(value, "reading an unallocated value");
-        std::string name = "r" + std::to_string(value->base);
+        std::string name = detail::concat("r", value->base);
         if (value->count > 1) {
-            name += "#" + std::to_string(
-                              ((iteration % value->count) +
-                               value->count) %
-                              value->count);
+            name += detail::concat(
+                "#", ((iteration % value->count) + value->count) %
+                         value->count);
         }
         return name;
     };

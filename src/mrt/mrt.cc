@@ -410,10 +410,9 @@ Mrt::dump() const
         while (line.size() < 14)
             line.push_back(' ');
         for (int row = 0; row < ii_; ++row) {
-            line += " " +
-                    std::to_string(
-                        use_[static_cast<size_t>(pool) * ii_ + row]) +
-                    "/" + std::to_string(model_->capacity(pool));
+            line += detail::concat(
+                " ", use_[static_cast<size_t>(pool) * ii_ + row], "/",
+                model_->capacity(pool));
         }
         out += line + "\n";
     }

@@ -34,8 +34,6 @@ BatchStats::toJson() const
        << "\"mrt_word_scans\":" << mrtWordScans << ","
        << "\"cache_hits\":" << cacheHits << ","
        << "\"cache_misses\":" << cacheMisses << ","
-       << "\"hint_used\":" << hintUsed << ","
-       << "\"hint_stale\":" << hintStale << ","
        << "\"exact_sat\":" << exactSat << ","
        << "\"exact_unsat\":" << exactUnsat << ","
        << "\"exact_timeout\":" << exactTimeout << ","
@@ -171,10 +169,6 @@ BatchRunner::run(const std::vector<CompileJob> &jobs, int threads,
             else
                 ++outcome.stats.cacheMisses;
         }
-        if (result.hintUsed)
-            ++outcome.stats.hintUsed;
-        if (result.hintStale)
-            ++outcome.stats.hintStale;
         switch (result.exact.outcome) {
           case ExactOutcome::NotRun:
             break;
@@ -204,8 +198,6 @@ BatchRunner::run(const std::vector<CompileJob> &jobs, int threads,
     count("mrt.word_scans", outcome.stats.mrtWordScans);
     count("cache.hits", outcome.stats.cacheHits);
     count("cache.misses", outcome.stats.cacheMisses);
-    count("hint.used", outcome.stats.hintUsed);
-    count("hint.stale", outcome.stats.hintStale);
     count("exact.sat", outcome.stats.exactSat);
     count("exact.unsat", outcome.stats.exactUnsat);
     count("exact.timeout", outcome.stats.exactTimeout);

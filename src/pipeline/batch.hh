@@ -113,12 +113,6 @@ struct BatchStats
     /** Jobs that probed the cache and compiled cold. */
     long cacheMisses = 0;
 
-    /** Jobs whose warm-start hint satisfied the search. */
-    long hintUsed = 0;
-
-    /** Jobs whose hint probe failed and fell back to the cold path. */
-    long hintStale = 0;
-
     /** Exact-arm outcomes (exact and race backends; see exact.hh). */
     long exactSat = 0;         ///< exact schedule became the result
     long exactUnsat = 0;       ///< heuristic II certified optimal

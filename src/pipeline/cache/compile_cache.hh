@@ -31,20 +31,9 @@
  * A hit therefore costs the key (the graph and machine images hashed
  * as they are walked, never built), one file read, the checksum, a
  * decode of the stored result, the image gates and the verifier
- * pass; the renumbering-invariant canonicalLoopHash() runs only on
- * the miss path, where warm-start hints are read and written.
- *
- * Warm-start hints. Misses additionally consult a hint store keyed
- * by (canonical loop hash, machine, scheduler, clustered) only --
- * options excluded, and isomorphic renumberings alike -- mapping to the II a previous compile achieved and the assigner
- * restart rotation that won. A near-miss recompile (same loop,
- * changed options) probes the hinted II first instead of walking up
- * from MII; the driver verifies that probe unconditionally and falls
- * back to the cold path when it fails, so a stale hint costs one
- * probe, never correctness. Hint-assisted results are *not* written
- * back as full entries: a full entry always records the cold
- * (from-MII) outcome, which is what keeps warm reruns byte-identical
- * to cold ones.
+ * pass. A miss runs the cold search from MII; nothing else is read
+ * or written, so the cache is a pure memo: every result is a function
+ * of (loop, machine, options) alone, whatever the cache has seen.
  *
  * Thread safety: the in-memory index is sharded (one mutex per
  * shard) so hit serving scales under the pipeline/batch thread pool;
@@ -91,20 +80,9 @@ struct CacheKey
     uint64_t imageHash = 0;   ///< hashBytes(packDfg(graph))
     uint64_t machineHash = 0; ///< hash of the machine byte image
     uint64_t optionsHash = 0; ///< result-relevant options + schema
-    uint64_t hintSalt = 0;    ///< scheduler + clustered path only
-
-    /**
-     * canonicalLoopHash of the input, which keys warm-start hints
-     * only. makeCacheKey leaves it 0 so a hit never pays for it; a
-     * caller fills it on the miss path before hint()/storeHint().
-     */
-    uint64_t loopHash = 0;
 
     /** Identity of the full-result entry (image, machine, options). */
     uint64_t entryId() const;
-
-    /** Identity of the warm-start hint (loop, machine, salt). */
-    uint64_t hintId() const;
 
     /** Entry file name: 16 hex digits of entryId() + ".cce". */
     std::string fileName() const;
@@ -116,11 +94,10 @@ struct CacheKey
  * machine image, the scheduler choice, the assignment
  * policy knobs, verify/fallback/iiSlack/exhaustiveFallbackNodes, the
  * time budget, the clustered-vs-unified path and the tenant
- * namespace salt (CompileOptions::cacheSalt, which also salts the
- * hint identity). Deliberately
- * excluded: trace/metrics configuration (observability never changes
- * results) and the fault injector (fault-injected compiles bypass the
- * cache entirely).
+ * namespace salt (CompileOptions::cacheSalt). Deliberately excluded:
+ * trace/metrics configuration (observability never changes results)
+ * and the fault injector (fault-injected compiles bypass the cache
+ * entirely).
  */
 CacheKey makeCacheKey(const Dfg &graph, const MachineDesc &machine,
                       const CompileOptions &options, bool clustered);
@@ -130,11 +107,8 @@ struct ScrubReport
 {
     long entriesScanned = 0;   ///< .cce files examined
     long entriesOk = 0;        ///< entries that validated fully
-    long quarantined = 0;      ///< files moved to corrupt/ (incl. hint log)
+    long quarantined = 0;      ///< files moved to corrupt/
     long tmpRemoved = 0;       ///< leftover .tmp-* writer files deleted
-    long hintLinesKept = 0;    ///< valid hints.log lines preserved
-    long hintLinesDropped = 0; ///< torn/unparseable hint lines removed
-    bool hintLogRepaired = false; ///< hints.log was rewritten cleaned
 
     /** Non-empty when the scrub itself could not run. */
     std::string error;
@@ -146,34 +120,24 @@ struct ScrubReport
  * a full decode of the embedded graph/machine/result images -- and
  * quarantines anything torn, truncated or bit-rotted into
  * <directory>/corrupt/ (moved, never deleted, so forensics survive).
- * Leftover .tmp-* files from writers killed mid-store are removed.
- * The hints.log tail is repaired: parseable lines are kept, a torn
- * or corrupt remainder is dropped, and the original log is
- * quarantined whenever anything had to go. Designed for startup and
- * offline use (camsd runs it on every tenant directory before
- * serving; cams_scrub runs it standalone); racing it against live
- * lookups in another process is safe -- an entry quarantined
- * mid-lookup degrades to a miss -- but wasteful.
+ * Leftover .tmp-* files from writers killed mid-store are removed;
+ * any other file is left alone. Designed for startup and offline
+ * use (camsd runs it on every tenant directory before serving;
+ * cams_scrub runs it standalone); racing it against live lookups in
+ * another process is safe -- an entry quarantined mid-lookup
+ * degrades to a miss -- but wasteful.
  */
 ScrubReport scrubCacheDir(const std::string &directory);
 
-/** What a prior compile of the same loop/machine/scheduler achieved. */
-struct WarmStartHint
-{
-    int ii = 0;       ///< achieved initiation interval
-    int mii = 0;      ///< the MII that search started from
-    int rotation = 0; ///< assigner restart rotation that succeeded
-};
-
-/** Persistent content-addressed store of CompileResults + hints. */
+/** Persistent content-addressed store of CompileResults. */
 class CompileCache
 {
   public:
     /**
      * Opens (rw: creates) the cache directory and loads the entry
-     * index and hint store. A directory that cannot be opened
-     * disables the cache (enabled() false) instead of failing the
-     * run; the error is kept for the caller to report.
+     * index. A directory that cannot be opened disables the cache
+     * (enabled() false) instead of failing the run; the error is kept
+     * for the caller to report.
      */
     CompileCache(std::string directory, CacheMode mode);
 
@@ -204,20 +168,10 @@ class CompileCache
                const CompileResult &result);
 
     /**
-     * Looks up a warm-start hint by key.hintId(), so key.loopHash
-     * must be filled. @return true when one exists.
-     */
-    bool hint(const CacheKey &key, WarmStartHint &out) const;
-
-    /** Records a warm-start hint (ReadWrite only; last write wins);
-     *  key.loopHash must be filled. */
-    void storeHint(const CacheKey &key, const WarmStartHint &hint);
-
-    /**
      * Runs scrubCacheDir() on this cache's directory, then rebuilds
-     * the in-memory entry index and hint store from what survived
-     * (ReadWrite only). Not meant to run concurrently with lookups
-     * through this object: run it before serving.
+     * the in-memory entry index from what survived (ReadWrite only).
+     * Not meant to run concurrently with lookups through this object:
+     * run it before serving.
      */
     ScrubReport scrub();
 
@@ -227,7 +181,6 @@ class CompileCache
         long hits = 0;          ///< full-result lookups served
         long misses = 0;        ///< lookups that found nothing usable
         long rejects = 0;       ///< entries dropped by validation
-        long hintHits = 0;      ///< hint lookups that found one
         long bytesRead = 0;     ///< entry bytes deserialized
         long bytesWritten = 0;  ///< entry bytes published
         long entries = 0;       ///< entries indexed right now
@@ -239,9 +192,9 @@ class CompileCache
     /**
      * Publishes cache.bytes / cache.entries / cache.rejects (and the
      * cache's own hit/miss view under cache.lookup_*) into a metrics
-     * registry. The per-job cache.hits/cache.misses/hint.used/
-     * hint.stale counters come from BatchStats, which sees every
-     * compile's flags; these are the store-side complements.
+     * registry. The per-job cache.hits/cache.misses counters come
+     * from BatchStats, which sees every compile's flags; these are
+     * the store-side complements.
      *
      * Adds the *delta* since this cache's previous publish call, so
      * repeated publishes into one cumulative registry (the bench
@@ -272,7 +225,6 @@ class CompileCache
     std::shared_ptr<const ResourceModel>
     modelFor(std::string_view machineImage, const MachineDesc &machine);
     void scanDirectory();
-    void loadHints();
     void dropEntry(const CacheKey &key, const std::string &path);
 
     std::string directory_;
@@ -285,15 +237,11 @@ class CompileCache
     std::mutex modelMutex_;
     std::shared_ptr<const ResourceModel> model_;
 
-    mutable std::mutex hintMutex_;
-    std::unordered_map<uint64_t, WarmStartHint> hints_;
-
     mutable std::mutex statsMutex_;
     mutable Totals totals_;
 
     mutable std::mutex publishMutex_;
     mutable Totals published_;
-    mutable long publishedHints_ = 0;
 };
 
 } // namespace cams

@@ -2,28 +2,12 @@
  * @file
  * Content hashing for the persistent compile cache.
  *
- * Two ingredients:
- *
- *  - small mixing primitives (splitmix64 finalizer, ordered fold,
- *    FNV-1a over bytes) shared by every key component. hashBytes()
- *    of the exact packDfg image is the loop part of a cache entry's
- *    identity, so two loops share an entry only when their images
- *    are equal byte for byte (or collide in 64 bits, which the
- *    entry's byte-exact gate turns into a miss);
- *  - canonicalLoopHash(), a renumbering-invariant structural hash of
- *    a loop graph. Isomorphic graphs -- same opcodes, latencies and
- *    dependence structure under any node permutation or renaming --
- *    hash identically, which is what warm-start hints want: a hint
- *    learned on one numbering of a loop helps every other one. It
- *    keys hints only, so it runs on the miss path only.
- *
- * The canonical hash is a Weisfeiler-Leman style refinement: every
- * node starts from its (opcode, latency) color, then absorbs the
- * sorted multiset of its in- and out-edge signatures (edge latency,
- * distance, neighbor color) for a few rounds, and the graph hash is
- * the fold of the sorted final colors. Collisions between
- * non-isomorphic graphs are possible; a colliding hint costs one
- * verified probe, never a wrong answer (see compile_cache.hh).
+ * Small mixing primitives (splitmix64 finalizer, ordered fold,
+ * FNV-1a over bytes) shared by every key component. hashBytes() of
+ * the exact packDfg image is the loop part of a cache entry's
+ * identity, so two loops share an entry only when their images are
+ * equal byte for byte (or collide in 64 bits, which the entry's
+ * byte-exact gate turns into a miss).
  */
 
 #ifndef CAMS_PIPELINE_CACHE_HASH_HH
@@ -31,8 +15,6 @@
 
 #include <cstdint>
 #include <string_view>
-
-#include "graph/dfg.hh"
 
 namespace cams
 {
@@ -79,14 +61,13 @@ class ByteHasher
 };
 
 /** FNV-1a over a byte string, finished through mix64. */
-uint64_t hashBytes(std::string_view bytes);
-
-/**
- * Renumbering-invariant structural hash of a loop graph. Node and
- * loop names are deliberately excluded: they do not affect any
- * compile result. See the file comment for the collision policy.
- */
-uint64_t canonicalLoopHash(const Dfg &graph);
+inline uint64_t
+hashBytes(std::string_view bytes)
+{
+    ByteHasher h;
+    h.add(bytes);
+    return h.value();
+}
 
 } // namespace cams
 

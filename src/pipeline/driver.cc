@@ -333,11 +333,6 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         if (probeCache(*options.cache, cache_key, graph, machine,
                        options, result))
             return result;
-        // Warm-start hints, read and written only by the heuristic
-        // backend below, are keyed by the renumbering-invariant hash;
-        // a hit never needs it.
-        if (options.backend == CompileBackend::Heuristic)
-            cache_key.loopHash = canonicalLoopHash(graph);
     }
 
     const Stopwatch total_watch;
@@ -364,10 +359,8 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
 
     // Stamps everything that must be correct on every exit path, and
     // publishes the finished compile into the cache. store() itself
-    // refuses served, hint-assisted and timed-out results, so only
-    // cold deterministic outcomes persist; hints additionally require
-    // a primary-path success (a degraded II would poison warm starts).
-    int accepted_rotation = 0;
+    // refuses served and timed-out results, so only deterministic
+    // outcomes persist.
     auto finish = [&]() {
         escalator.foldCounters();
         result.mrtWordScans += scheduler->wordScans();
@@ -388,37 +381,19 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             compile_scope.arg("failure",
                               failureKindName(result.failure));
         }
-        if (cache_on) {
+        if (cache_on)
             options.cache->store(cache_key, graph, machine, result);
-            // Hints replay a heuristic rotation at the achieved II; a
-            // race-tightened II is not heuristically reachable, and
-            // non-heuristic backends skip the probe anyway.
-            if (result.success && !result.hintUsed &&
-                options.backend == CompileBackend::Heuristic &&
-                result.degraded == DegradeLevel::None) {
-                WarmStartHint hint;
-                hint.ii = result.ii;
-                hint.mii = result.mii.mii;
-                hint.rotation = accepted_rotation;
-                options.cache->storeHint(cache_key, hint);
-            }
-        }
     };
 
     // One II attempt of the Figure 5 pipeline: assign, schedule,
-    // verify. Shared between the primary sweep and the warm-start
-    // hint probe, which swaps in a hint-seeded assigner and verifies
-    // unconditionally (a stale hint must never leak an unchecked
-    // schedule).
-    auto attemptIi = [&](int ii, auto &&escalate,
-                         const ClusterAssigner &attempt_assigner,
-                         bool force_verify) -> IiEscalator::Outcome {
+    // verify.
+    auto attemptIi = [&](int ii, auto &&escalate) -> IiEscalator::Outcome {
             const Stopwatch assign_watch;
             AssignResult assignment;
             {
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "assign", "phase");
-                assignment = attempt_assigner.run(graph, ii, &ctx);
+                assignment = assigner.run(graph, ii, &ctx);
             }
             result.phaseMs.assignMs += assign_watch.elapsedMs();
             result.phaseMs.orderMs += assignment.orderMillis;
@@ -468,7 +443,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                 escalate("sched_fail");
                 return IiEscalator::Outcome::Retry;
             }
-            if (options.verify || force_verify) {
+            if (options.verify) {
                 const Stopwatch verify_watch;
                 std::string why;
                 bool verified;
@@ -488,7 +463,6 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                     return IiEscalator::Outcome::Retry;
                 }
             }
-            accepted_rotation = assignment.rotationUsed;
             acceptSchedule(result, std::move(assignment.loop),
                            std::move(schedule), ii,
                            DegradeLevel::None);
@@ -592,43 +566,6 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         // Fall through to the degradation ladder below.
     }
 
-    // Warm-start hint: a previous compile of this loop on this
-    // machine (any options) achieved hint.ii, so probe that II first
-    // with the winning rotation replayed. One attempt, verified
-    // unconditionally; failure marks the hint stale and falls back to
-    // the cold search from MII, so a wrong hint costs one probe.
-    // Non-heuristic backends skip the probe: Exact never runs the
-    // cascade, and a Race hint would bypass the exact arm entirely.
-    WarmStartHint hint;
-    if (options.backend == CompileBackend::Heuristic && cache_on &&
-        options.cache->hint(cache_key, hint) &&
-        hint.ii > result.mii.mii && hint.ii <= limit) {
-        AssignOptions hinted_options = assign_options;
-        hinted_options.preferredRotation = hint.rotation;
-        const ClusterAssigner hinted_assigner(model, hinted_options);
-        IiEscalator::Policy probe_policy;
-        probe_policy.countAttempts = true;
-        probe_policy.traceIis = true;
-        probe_policy.catchInvariant = true;
-        const bool hinted_ok = escalator.sweep(
-            hint.ii, hint.ii, deadline, probe_policy,
-            [&](int ii, auto &&escalate) {
-                return attemptIi(ii, escalate, hinted_assigner,
-                                 /*force_verify=*/true);
-            });
-        traceDecision(
-            options.trace, "hint_probe",
-            {{"outcome", hinted_ok ? "used" : "stale"},
-             {"hint_ii", std::to_string(hint.ii)},
-             {"rotation", std::to_string(hint.rotation)}});
-        if (hinted_ok) {
-            result.hintUsed = true;
-            finish();
-            return result;
-        }
-        result.hintStale = true;
-    }
-
     if (options.backend != CompileBackend::Exact) {
         IiEscalator::Policy primary;
         primary.countAttempts = true;
@@ -639,10 +576,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         primary.traceTimeout = true;
 
         escalator.sweep(result.mii.mii, limit, deadline, primary,
-                        [&](int ii, auto &&escalate) {
-                            return attemptIi(ii, escalate, assigner,
-                                             /*force_verify=*/false);
-                        });
+                        attemptIi);
     }
 
     if (options.backend == CompileBackend::Race) {
@@ -763,9 +697,6 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     if (!compilablePrecondition(graph, machine, result))
         return result;
 
-    // Full-result caching only: the unified path has no assignment,
-    // so there is no rotation to replay and little for a warm-start
-    // hint to save.
     const bool cache_on = cacheEligible(options);
     CacheKey cache_key;
     if (cache_on) {

@@ -127,21 +127,19 @@ struct CompileOptions
 
     /**
      * Persistent compile cache (non-owning; null = off). Probed
-     * before the II search: a full hit returns the stored result
-     * (after re-verification), and on a miss a warm-start hint may
-     * seed the search at the previously achieved II -- always behind
-     * a mandatory verify, so a stale hint degrades to the cold path.
-     * Compiles with an active fault injector bypass the cache in
-     * both directions.
+     * before the II search: a hit returns the stored result (after
+     * re-verification), and a miss runs the cold search from MII, so
+     * a result never depends on what the cache has seen. Compiles
+     * with an active fault injector bypass the cache in both
+     * directions.
      */
     CompileCache *cache = nullptr;
 
     /**
-     * Namespace salt folded into every CacheKey (full entries and
-     * warm-start hints). Two compiles that differ only in salt never
-     * share cache state; the compile server salts each tenant's id
-     * here so co-resident tenants cannot observe one another through
-     * hit timing or hint side channels. 0 = the default (unsalted)
+     * Namespace salt folded into every CacheKey. Two compiles that
+     * differ only in salt never share cache state; the compile server
+     * salts each tenant's id here so co-resident tenants cannot
+     * observe one another through hit timing. 0 = the default (unsalted)
      * namespace every single-tenant tool uses.
      */
     uint64_t cacheSalt = 0;
@@ -246,8 +244,6 @@ struct CompileResult
      */
     bool cacheProbed = false; ///< a cache lookup ran for this compile
     bool fromCache = false;   ///< result served from the compile cache
-    bool hintUsed = false;    ///< warm-start hint satisfied the search
-    bool hintStale = false;   ///< hint probe failed; cold path used
 };
 
 /** Creates a scheduler instance of the given kind. */

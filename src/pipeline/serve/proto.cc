@@ -158,20 +158,18 @@ encodeResult(uint64_t id, const CompileResult &result, double queueMs,
 {
     ByteWriter body;
     writeCompileResult(body, result);
-    return encodeResultBytes(id, result.fromCache, result.hintUsed,
-                             queueMs, compileMs, body.take());
+    return encodeResultBytes(id, result.fromCache, queueMs, compileMs,
+                             body.take());
 }
 
 std::string
-encodeResultBytes(uint64_t id, bool fromCache, bool hintUsed,
-                  double queueMs, double compileMs,
-                  const std::string &resultBytes)
+encodeResultBytes(uint64_t id, bool fromCache, double queueMs,
+                  double compileMs, const std::string &resultBytes)
 {
     ByteWriter writer;
     writeType(writer, ServeMsgType::Result);
     writer.u64(id);
     writer.u32(fromCache ? 1 : 0);
-    writer.u32(hintUsed ? 1 : 0);
     writer.f64(queueMs);
     writer.f64(compileMs);
     writer.str(resultBytes);
@@ -360,14 +358,12 @@ decodeServerMsg(const std::string &payload, ServerMsg &out)
             break;
         case ServeMsgType::Result: {
             uint32_t fromCache = 0;
-            uint32_t hintUsed = 0;
             if (!reader.u64(out.id) || !reader.u32(fromCache) ||
-                !reader.u32(hintUsed) || !reader.f64(out.queueMs) ||
+                !reader.f64(out.queueMs) ||
                 !reader.f64(out.compileMs) ||
                 !reader.str(out.resultBytes))
                 return false;
             out.fromCache = fromCache != 0;
-            out.hintUsed = hintUsed != 0;
             break;
         }
         case ServeMsgType::Cancelled: {

@@ -41,9 +41,10 @@ namespace cams
  * Bumped on any incompatible wire change. v2: per-frame payload
  * checksums (stream.hh), the Submit retry key, and the Shed
  * retry-after hint. v3: Stats/Health polling messages and the
- * Submit trace id + sampling flag.
+ * Submit trace id + sampling flag. v4: the Result frame drops its
+ * warm-start flag (the compile cache keeps no hints).
  */
-constexpr uint32_t serveProtoVersion = 3;
+constexpr uint32_t serveProtoVersion = 4;
 
 /** Frames larger than this are protocol errors on both sides. */
 constexpr uint32_t serveMaxFrameBytes = 64u << 20;
@@ -232,7 +233,6 @@ struct ServerMsg
 
     // Result
     bool fromCache = false;
-    bool hintUsed = false;
     double queueMs = 0.0;   ///< admission-to-dequeue wait
     double compileMs = 0.0; ///< worker time incl. cache probe
     std::string resultBytes;
@@ -274,8 +274,7 @@ std::string encodeResult(uint64_t id, const CompileResult &result,
  * replaying a deduplicated result without re-decoding it.
  */
 std::string encodeResultBytes(uint64_t id, bool fromCache,
-                              bool hintUsed, double queueMs,
-                              double compileMs,
+                              double queueMs, double compileMs,
                               const std::string &resultBytes);
 std::string encodeCancelled(uint64_t id, bool wasQueued);
 std::string encodeError(uint64_t id, const std::string &message);

@@ -507,8 +507,7 @@ CamsServer::handleSubmit(const std::shared_ptr<Conn> &conn,
                     registry_.add(conn->tenantIds->completed);
                 send(*conn,
                      encodeResultBytes(msg.id, entry.fromCache,
-                                       entry.hintUsed, entry.queueMs,
-                                       entry.compileMs,
+                                       entry.queueMs, entry.compileMs,
                                        entry.resultBytes));
                 return true;
             } else {
@@ -771,14 +770,14 @@ CamsServer::deliverResult(const std::shared_ptr<Request> &request,
 {
     ByteWriter body;
     writeCompileResult(body, result);
-    deliverEncoded(request, result.fromCache, result.hintUsed,
-                   queueMs, compileMs, body.take());
+    deliverEncoded(request, result.fromCache, queueMs, compileMs,
+                   body.take());
 }
 
 void
 CamsServer::deliverEncoded(const std::shared_ptr<Request> &request,
-                           bool fromCache, bool hintUsed,
-                           double queueMs, double compileMs,
+                           bool fromCache, double queueMs,
+                           double compileMs,
                            const std::string &resultBytes)
 {
     // Exactly one of worker and watchdog wins the exchange; the
@@ -798,7 +797,6 @@ CamsServer::deliverEncoded(const std::shared_ptr<Request> &request,
         if (!entry.done) {
             entry.done = true;
             entry.fromCache = fromCache;
-            entry.hintUsed = hintUsed;
             entry.queueMs = queueMs;
             entry.compileMs = compileMs;
             entry.resultBytes = resultBytes;
@@ -816,9 +814,8 @@ CamsServer::deliverEncoded(const std::shared_ptr<Request> &request,
     }
     for (const auto &[target, id] : targets) {
         registry_.add(ids_.completed);
-        send(*target, encodeResultBytes(id, fromCache, hintUsed,
-                                        queueMs, compileMs,
-                                        resultBytes));
+        send(*target, encodeResultBytes(id, fromCache, queueMs,
+                                        compileMs, resultBytes));
     }
 }
 

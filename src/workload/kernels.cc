@@ -1,6 +1,7 @@
 #include "workload/kernels.hh"
 
 #include "graph/builder.hh"
+#include "support/logging.hh"
 
 namespace cams
 {
@@ -234,10 +235,10 @@ kernelPredictor()
     // a wide tree over shared coefficient constants.
     DfgBuilder b("predictor");
     for (int i = 0; i < 5; ++i)
-        b.op("ld" + std::to_string(i), Opcode::Load);
+        b.op(detail::concat("ld", i), Opcode::Load);
     for (int i = 0; i < 5; ++i) {
-        b.op("m" + std::to_string(i), Opcode::FpMult);
-        b.flow("ld" + std::to_string(i), "m" + std::to_string(i));
+        b.op(detail::concat("m", i), Opcode::FpMult);
+        b.flow(detail::concat("ld", i), detail::concat("m", i));
     }
     b.op("a0", Opcode::FpAdd)
         .op("a1", Opcode::FpAdd)

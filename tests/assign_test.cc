@@ -12,6 +12,7 @@
 #include "graph/recmii.hh"
 #include "machine/configs.hh"
 #include "workload/kernels.hh"
+#include "support/logging.hh"
 
 namespace cams
 {
@@ -57,10 +58,10 @@ TEST(Assign, OverflowForcesSplitWithCopies)
     // least one copy are inevitable.
     DfgBuilder b("t");
     for (int i = 0; i < 7; ++i)
-        b.op("p" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("p", i), Opcode::IntAlu);
     b.op("sink", Opcode::IntAlu);
     for (int i = 0; i < 7; ++i)
-        b.flow("p" + std::to_string(i), "sink");
+        b.flow(detail::concat("p", i), "sink");
 
     MachineDesc machine = busedGpMachine(2, 2, 1);
     for (auto &cluster : machine.clusters)
@@ -79,7 +80,7 @@ TEST(Assign, InfeasibleIiFails)
     // 10 ops on a machine with total width 2 cannot fit in II 4.
     DfgBuilder b("t");
     for (int i = 0; i < 10; ++i)
-        b.op("p" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("p", i), Opcode::IntAlu);
     MachineDesc machine = busedGpMachine(2, 2, 1);
     for (auto &cluster : machine.clusters)
         cluster.gpUnits = 1;
@@ -110,10 +111,10 @@ TEST(Assign, CopiesAnnotatedWithRoutes)
 {
     DfgBuilder b("t");
     for (int i = 0; i < 7; ++i)
-        b.op("p" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("p", i), Opcode::IntAlu);
     b.op("sink", Opcode::IntAlu);
     for (int i = 0; i < 7; ++i)
-        b.flow("p" + std::to_string(i), "sink");
+        b.flow(detail::concat("p", i), "sink");
     MachineDesc machine = busedGpMachine(2, 2, 2);
     for (auto &cluster : machine.clusters)
         cluster.gpUnits = 2;
@@ -138,9 +139,9 @@ TEST(Assign, BroadcastServesMultipleConsumersWithOneCopy)
     DfgBuilder b("t");
     b.op("src", Opcode::IntAlu);
     for (int i = 0; i < 15; ++i)
-        b.op("c" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("c", i), Opcode::IntAlu);
     for (int i = 0; i < 15; ++i)
-        b.flow("src", "c" + std::to_string(i));
+        b.flow("src", detail::concat("c", i));
     const auto result = assign(b.build(), busedGpMachine(4, 4, 2), 1);
     ASSERT_TRUE(result.success);
     // At II 1 every cluster holds exactly its 4 ops, so src's value

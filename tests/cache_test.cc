@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests of the persistent compile cache: canonical-hash invariance
- * under node renumbering, entry keys taken from the exact loop image
- * (so renamed and renumbered twins each get an entry of their own),
- * the image matchers behind the byte-exact gate, binary round-trips
- * of CompileResult, rejection of version-mismatched and truncated
- * entries, concurrent read/write through the batch thread pool, and
- * the stale-hint fallback to the cold path.
+ * Tests of the persistent compile cache: entry keys taken from the
+ * exact loop image (so renamed and renumbered twins each get an entry
+ * of their own), the image matchers behind the byte-exact gate,
+ * binary round-trips of CompileResult, rejection of version-mismatched
+ * and truncated entries, concurrent read/write through the batch
+ * thread pool, and results that depend only on (loop, machine,
+ * options), never on what the cache has seen.
  */
 
 #include <gtest/gtest.h>
@@ -84,7 +84,7 @@ permuted(const Dfg &graph, const std::vector<NodeId> &perm)
     for (size_t i = 0; i < perm.size(); ++i) {
         const DfgNode &node = graph.node(perm[i]);
         newId[perm[i]] = out.addNode(node.op, node.latency,
-                                     "p" + std::to_string(i));
+                                     detail::concat("p", i));
     }
     for (int e = 0; e < graph.numEdges(); ++e) {
         const DfgEdge &edge = graph.edge(e);
@@ -92,38 +92,6 @@ permuted(const Dfg &graph, const std::vector<NodeId> &perm)
                     edge.distance);
     }
     return out.build();
-}
-
-TEST(CacheHash, InvariantUnderRenumbering)
-{
-    const Dfg graph = sampleLoop();
-    const uint64_t h = canonicalLoopHash(graph);
-    EXPECT_EQ(h, canonicalLoopHash(permuted(graph, {3, 1, 0, 2})));
-    EXPECT_EQ(h, canonicalLoopHash(permuted(graph, {2, 3, 1, 0})));
-
-    // Structure changes move the hash: a different opcode...
-    const Dfg other = copyOf(permuted(graph, {0, 1, 2, 3}),
-                             [](DfgNode &node) {
-                                 if (node.id == 1)
-                                     node.op = Opcode::IntAlu;
-                             })
-                          .build();
-    EXPECT_NE(h, canonicalLoopHash(other));
-    // ...or a different dependence distance.
-    DfgBuilder far = copyOf(sampleLoop(), [](DfgNode &) {});
-    far.addEdge(0, 3, -1, 2);
-    EXPECT_NE(h, canonicalLoopHash(far.build()));
-}
-
-TEST(CacheHash, NamesDoNotParticipate)
-{
-    DfgBuilder named = copyOf(sampleLoop(), [](DfgNode &node) {
-        if (node.id == 0)
-            node.name = "renamed";
-    });
-    named.setName("completely-different");
-    EXPECT_EQ(canonicalLoopHash(sampleLoop()),
-              canonicalLoopHash(named.build()));
 }
 
 TEST(CacheHash, ByteHasherMatchesHashBytesInAnySplit)
@@ -319,11 +287,10 @@ TEST(CompileCacheTest, IsomorphicRenumberingMissesOnExactMatch)
     options.cache = &cache;
     ASSERT_TRUE(compileClustered(graph, machine, options).success);
 
-    // Same canonical hash, but the entry is keyed by the exact image:
-    // the twin must not be served another graph's node ids.
+    // Isomorphic, but the entry is keyed by the exact image: the twin
+    // must not be served another graph's node ids.
     const CacheKey key = makeCacheKey(graph, machine, options, true);
     const CacheKey twinKey = makeCacheKey(twin, machine, options, true);
-    EXPECT_EQ(canonicalLoopHash(graph), canonicalLoopHash(twin));
     EXPECT_NE(key.entryId(), twinKey.entryId());
     CompileResult out;
     EXPECT_FALSE(cache.lookup(twinKey, twin, machine, out));
@@ -338,21 +305,18 @@ TEST(CompileCacheTest, IsomorphicRenumberingMissesOnExactMatch)
     EXPECT_EQ(again.ii, res.ii);
 }
 
-TEST(CompileCacheTest, KeyTellsApartLoopsWithEqualCanonicalHash)
+TEST(CompileCacheTest, KeyTellsApartIsomorphicLoops)
 {
     const Dfg graph = sampleLoop();
     const Dfg twin = permuted(graph, {2, 3, 1, 0});
     const MachineDesc machine = busedGpMachine(2, 2, 1);
     const CompileOptions options;
-    ASSERT_EQ(canonicalLoopHash(graph), canonicalLoopHash(twin));
 
     const CacheKey key = makeCacheKey(graph, machine, options, true);
     const CacheKey twinKey = makeCacheKey(twin, machine, options, true);
     EXPECT_NE(key.entryId(), twinKey.entryId());
     EXPECT_NE(key.fileName(), twinKey.fileName());
     EXPECT_EQ(key.imageHash, hashBytes(packDfg(graph)));
-    // The canonical hash is left to the miss path.
-    EXPECT_EQ(key.loopHash, 0u);
     EXPECT_EQ(key.entryId(),
               makeCacheKey(graph, machine, options, true).entryId());
 }
@@ -504,86 +468,46 @@ TEST(CompileCacheTest, ConcurrentReadWriteThroughThePool)
     }
 }
 
-TEST(CompileCacheTest, WarmStartHintAndStaleFallback)
+/** The result's serialized bytes with wall-clock times zeroed. */
+std::string
+canonicalBytes(const CompileResult &result)
 {
-    const MachineDesc machine = busedGpMachine(2, 1, 1); // starved
-    const std::vector<Dfg> suite = buildSuite(60);
-
-    // Find a loop whose clustered search had to escalate: achieved II
-    // at least two above MII, so an intermediate II provably fails.
-    const Dfg *loop = nullptr;
-    CompileResult cold;
-    for (const Dfg &candidate : suite) {
-        const CompileResult res = compileClustered(candidate, machine);
-        if (res.success && res.degraded == DegradeLevel::None &&
-            res.ii >= res.mii.mii + 2) {
-            loop = &candidate;
-            cold = res;
-            break;
-        }
-    }
-    ASSERT_NE(loop, nullptr)
-        << "no loop with II >= MII + 2 in the sample";
-
-    CompileOptions options;
-    CacheKey key = makeCacheKey(*loop, machine, options, true);
-    key.loopHash = canonicalLoopHash(*loop);
-
-    {
-        // A good hint (the achieved II) satisfies the search in one
-        // verified probe, with the cold result's II.
-        const std::string dir = scratchDir("cache_hint_good");
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        cache.storeHint(key, {cold.ii, cold.mii.mii, 0});
-        options.cache = &cache;
-        const CompileResult hinted =
-            compileClustered(*loop, machine, options);
-        ASSERT_TRUE(hinted.success);
-        EXPECT_TRUE(hinted.hintUsed);
-        EXPECT_FALSE(hinted.hintStale);
-        EXPECT_EQ(hinted.ii, cold.ii);
-        EXPECT_EQ(hinted.attempts, 1);
-        // Hint-assisted results are never stored as full entries.
-        EXPECT_EQ(cache.totals().entries, 0);
-    }
-
-    {
-        // A stale hint (an II the search already proved infeasible)
-        // fails its one probe and falls back to the cold path.
-        const std::string dir = scratchDir("cache_hint_stale");
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        cache.storeHint(key, {cold.mii.mii + 1, cold.mii.mii, 0});
-        options.cache = &cache;
-        const CompileResult res =
-            compileClustered(*loop, machine, options);
-        ASSERT_TRUE(res.success);
-        EXPECT_TRUE(res.hintStale);
-        EXPECT_FALSE(res.hintUsed);
-        EXPECT_EQ(res.ii, cold.ii);
-        // The cold outcome it fell back to is stored.
-        EXPECT_EQ(cache.totals().entries, 1);
-    }
+    CompileResult copy = result;
+    copy.phaseMs = PhaseTimes{};
+    ByteWriter writer;
+    writeCompileResult(writer, copy);
+    return writer.take();
 }
 
-TEST(CompileCacheTest, HintsPersistAcrossReopen)
+TEST(CompileCacheTest, ResultsDoNotDependOnWhatTheCacheHasSeen)
 {
-    const std::string dir = scratchDir("cache_hint_log");
-    const Dfg graph = sampleLoop();
+    const std::string dir = scratchDir("cache_pure_memo");
+    const std::vector<Dfg> suite = buildSuite(200);
     const MachineDesc machine = busedGpMachine(2, 2, 1);
-    CompileOptions options;
-    const CacheKey key = makeCacheKey(graph, machine, options, true);
+    CompileCache cache(dir, CacheMode::ReadWrite);
 
-    {
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        cache.storeHint(key, {5, 3, 2});
-        cache.storeHint(key, {4, 3, 1}); // last write wins
+    // Fill the cache with another variant's compiles of every loop.
+    CompileOptions simple;
+    simple.assign.fullHeuristic = false;
+    simple.assign.iterative = false;
+    simple.cache = &cache;
+    for (const Dfg &loop : suite)
+        compileClustered(loop, machine, simple);
+    EXPECT_EQ(cache.totals().entries, 200);
+
+    // The default options miss every entry, and each miss must give
+    // exactly the cache-free result.
+    CompileOptions cached;
+    cached.cache = &cache;
+    for (const Dfg &loop : suite) {
+        const CompileResult res = compileClustered(loop, machine, cached);
+        EXPECT_TRUE(res.cacheProbed);
+        EXPECT_FALSE(res.fromCache) << loop.name();
+        ASSERT_EQ(canonicalBytes(res),
+                  canonicalBytes(compileClustered(loop, machine)))
+            << loop.name();
     }
-    CompileCache reopened(dir, CacheMode::ReadOnly);
-    WarmStartHint hint;
-    ASSERT_TRUE(reopened.hint(key, hint));
-    EXPECT_EQ(hint.ii, 4);
-    EXPECT_EQ(hint.mii, 3);
-    EXPECT_EQ(hint.rotation, 1);
+    EXPECT_EQ(cache.totals().entries, 400);
 }
 
 /** Whole-file read/write helpers for corruption tests. */
@@ -750,69 +674,35 @@ TEST(CompileCacheTest, ScrubRemovesWriterDebrisAndRebuildsIndex)
     EXPECT_FALSE(missing.error.empty());
 }
 
-TEST(CompileCacheTest, ScrubRepairsTornHintLogAtEveryBoundary)
+TEST(CompileCacheTest, ScrubAndOpenLeaveUnknownFilesAlone)
 {
-    const std::string dir = scratchDir("cache_scrub_hints");
-    std::vector<CacheKey> keys;
+    const std::string dir = scratchDir("cache_scrub_foreign");
+    const Dfg graph = sampleLoop();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    CompileOptions options;
     {
         CompileCache cache(dir, CacheMode::ReadWrite);
-        for (int i = 0; i < 3; ++i) {
-            CacheKey key;
-            key.loopHash = 100 + i;
-            key.machineHash = 7;
-            key.optionsHash = 9;
-            key.hintSalt = static_cast<uint64_t>(i);
-            keys.push_back(key);
-            WarmStartHint hint;
-            hint.ii = 4 + i;
-            hint.mii = 3;
-            hint.rotation = i;
-            cache.storeHint(key, hint);
-        }
+        options.cache = &cache;
+        ASSERT_TRUE(
+            compileClustered(graph, machine, options).success);
     }
-    const fs::path hintPath = fs::path(dir) / "hints.log";
-    const std::string valid = slurp(hintPath);
-    ASSERT_FALSE(valid.empty());
-    ASSERT_EQ(valid.back(), '\n');
-    std::vector<size_t> newlines;
-    for (size_t i = 0; i < valid.size(); ++i)
-        if (valid[i] == '\n')
-            newlines.push_back(i);
-    ASSERT_EQ(newlines.size(), 3u);
+    // A file the cache never wrote, with a torn last line: neither
+    // the scrub nor the cache reads it.
+    const fs::path foreign = fs::path(dir) / "notes.log";
+    spill(foreign, "h1 0123 4 3 0\nh1 torn", 21);
 
-    for (size_t length = 0; length < valid.size(); ++length) {
-        spill(hintPath, valid, length);
-        const ScrubReport report = scrubCacheDir(dir);
-        ASSERT_TRUE(report.error.empty()) << report.error;
-        long fullLines = 0;
-        for (const size_t pos : newlines)
-            fullLines += pos < length ? 1 : 0;
-        const bool tornTail =
-            length > 0 && valid[length - 1] != '\n';
-        ASSERT_EQ(report.hintLinesKept, fullLines)
-            << "length " << length;
-        ASSERT_EQ(report.hintLinesDropped, tornTail ? 1 : 0)
-            << "length " << length;
-        ASSERT_EQ(report.hintLogRepaired, tornTail)
-            << "length " << length;
-        if (tornTail) {
-            // The rewritten log is clean: scrubbing again drops
-            // nothing and keeps the same lines.
-            const ScrubReport again = scrubCacheDir(dir);
-            ASSERT_EQ(again.hintLinesKept, fullLines);
-            ASSERT_EQ(again.hintLinesDropped, 0);
-        }
-        fs::remove_all(fs::path(dir) / "corrupt");
-    }
+    const ScrubReport report = scrubCacheDir(dir);
+    EXPECT_TRUE(report.error.empty()) << report.error;
+    EXPECT_EQ(report.entriesScanned, 1);
+    EXPECT_EQ(report.entriesOk, 1);
+    EXPECT_EQ(report.quarantined, 0);
+    EXPECT_EQ(slurp(foreign), "h1 0123 4 3 0\nh1 torn");
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "corrupt"));
 
-    // With the intact log back, every stored hint is served.
-    spill(hintPath, valid, valid.size());
     CompileCache cache(dir, CacheMode::ReadWrite);
-    for (size_t i = 0; i < keys.size(); ++i) {
-        WarmStartHint hint;
-        ASSERT_TRUE(cache.hint(keys[i], hint)) << "key " << i;
-        EXPECT_EQ(hint.ii, 4 + static_cast<int>(i));
-    }
+    EXPECT_EQ(cache.totals().entries, 1);
+    options.cache = &cache;
+    EXPECT_TRUE(compileClustered(graph, machine, options).fromCache);
 }
 
 TEST(CompileCacheTest, ModeParsing)

@@ -9,6 +9,7 @@
 
 #include "graph/builder.hh"
 #include "graph/scc.hh"
+#include "support/logging.hh"
 
 namespace cams
 {
@@ -112,10 +113,10 @@ TEST(Scc, LargeCycleSingleComponent)
     DfgBuilder b("ring");
     const int n = 50;
     for (int i = 0; i < n; ++i)
-        b.op("n" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("n", i), Opcode::IntAlu);
     for (int i = 0; i + 1 < n; ++i)
-        b.flow("n" + std::to_string(i), "n" + std::to_string(i + 1));
-    b.carried("n" + std::to_string(n - 1), "n0", 1);
+        b.flow(detail::concat("n", i), detail::concat("n", i + 1));
+    b.carried(detail::concat("n", n - 1), "n0", 1);
     Dfg graph = b.build();
     const SccInfo info = findSccs(graph);
     EXPECT_EQ(info.numComponents(), 1);

@@ -15,6 +15,7 @@
 #include "sched/mii.hh"
 #include "sched/sms.hh"
 #include "sched/verifier.hh"
+#include "support/logging.hh"
 #include "workload/kernels.hh"
 
 namespace cams
@@ -193,7 +194,7 @@ TEST(Ims, TightResourceSchedule)
     // 4 int ops on a 1-wide machine at II 4: a perfect packing.
     DfgBuilder b("t");
     for (int i = 0; i < 4; ++i)
-        b.op("n" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("n", i), Opcode::IntAlu);
     expectSchedules(IterativeModuloScheduler(), b.build(),
                     unifiedGpMachine(1), 4);
 }
@@ -202,7 +203,7 @@ TEST(Sms, TightResourceSchedule)
 {
     DfgBuilder b("t");
     for (int i = 0; i < 4; ++i)
-        b.op("n" + std::to_string(i), Opcode::IntAlu);
+        b.op(detail::concat("n", i), Opcode::IntAlu);
     expectSchedules(SwingModuloScheduler(), b.build(),
                     unifiedGpMachine(1), 4);
 }

@@ -6,7 +6,7 @@
  * Validates every .cce entry (magic, version, checksum, stored-hash /
  * file-name consistency, full payload decode), quarantines anything
  * torn or bit-rotted into <dir>/corrupt/, removes .tmp-* writer
- * debris, and repairs a torn hints.log tail. camsd runs the same
+ * debris and leaves every other file alone. camsd runs the same
  * scrub on startup; this tool exists for offline use -- after a crash,
  * in cron, or as a CI gate (--expect-clean).
  *
@@ -107,19 +107,11 @@ main(int argc, char **argv)
         total.entriesOk += report.entriesOk;
         total.quarantined += report.quarantined;
         total.tmpRemoved += report.tmpRemoved;
-        total.hintLinesKept += report.hintLinesKept;
-        total.hintLinesDropped += report.hintLinesDropped;
-        total.hintLogRepaired |= report.hintLogRepaired;
         std::cout << "cams_scrub: " << dir << ": "
                   << report.entriesScanned << " scanned, "
                   << report.entriesOk << " ok, "
                   << report.quarantined << " quarantined, "
-                  << report.tmpRemoved << " tmp removed, hints "
-                  << report.hintLinesKept << " kept / "
-                  << report.hintLinesDropped << " dropped"
-                  << (report.hintLogRepaired ? " (log repaired)"
-                                             : "")
-                  << "\n";
+                  << report.tmpRemoved << " tmp removed\n";
     }
 
     if (!json_path.empty()) {
@@ -131,11 +123,7 @@ main(int argc, char **argv)
              << ",\n"
              << "  \"entries_ok\": " << total.entriesOk << ",\n"
              << "  \"quarantined\": " << total.quarantined << ",\n"
-             << "  \"tmp_removed\": " << total.tmpRemoved << ",\n"
-             << "  \"hint_lines_kept\": " << total.hintLinesKept
-             << ",\n"
-             << "  \"hint_lines_dropped\": "
-             << total.hintLinesDropped << "\n"
+             << "  \"tmp_removed\": " << total.tmpRemoved << "\n"
              << "}\n";
         if (json_path == "-") {
             std::cout << json.str();

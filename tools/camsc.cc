@@ -186,10 +186,6 @@ runSuiteMode(int count, uint64_t seed, int jobs,
                   << " misses="
                   << base.stats.cacheMisses +
                          clustered.stats.cacheMisses
-                  << " hint_used="
-                  << base.stats.hintUsed + clustered.stats.hintUsed
-                  << " hint_stale="
-                  << base.stats.hintStale + clustered.stats.hintStale
                   << " entries=" << totals.entries
                   << " bytes=" << totals.bytesOnDisk << "\n";
         cache->publish(registry);
@@ -476,10 +472,6 @@ main(int argc, char **argv)
             if (r->cacheProbed)
                 registry.add(r->fromCache ? "cache.hits"
                                           : "cache.misses");
-            if (r->hintUsed)
-                registry.add("hint.used");
-            if (r->hintStale)
-                registry.add("hint.stale");
         }
         if (cache)
             cache->publish(registry);
@@ -525,9 +517,7 @@ main(int argc, char **argv)
     std::cout << "machine:   " << machine.name << "\n";
     if (cache) {
         std::cout << "cache:     "
-                  << (result.fromCache  ? "hit"
-                      : result.hintUsed ? "warm start"
-                                        : "miss")
+                  << (result.fromCache ? "hit" : "miss")
                   << " (" << cacheModeName(cache->mode()) << " "
                   << cache->directory() << ")\n";
     }

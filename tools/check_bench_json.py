@@ -28,7 +28,7 @@ COUNTER_KEYS = {
     "captured_exceptions", "threads", "ii_attempts", "assign_retries",
     "evictions", "copies", "invariant_recoveries", "verifier_rejects",
     "fault_trips", "ctx_hits", "ctx_misses", "mrt_word_scans",
-    "cache_hits", "cache_misses", "hint_used", "hint_stale",
+    "cache_hits", "cache_misses",
     "iters", "violations", "degraded_exhaustive",
     "degraded_single_cluster", "reps",
     "corpus", "connections", "requests", "completed", "shed",
@@ -39,7 +39,7 @@ COUNTER_KEYS = {
     "reconnects",
     "kills", "restarts",
     "directories", "entries_scanned", "entries_ok", "quarantined",
-    "tmp_removed", "hint_lines_kept", "hint_lines_dropped",
+    "tmp_removed",
     "tightened", "certified", "unsupported", "spot_checks",
     "max_gap", "exact_conflicts", "attempts",
 }

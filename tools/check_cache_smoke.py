@@ -10,7 +10,7 @@ one written by a warm rerun and fails (exit 1) when any of:
 
   * any non-timing figure differs between the two files (per-loop II
     aggregates, copies, attempts, failure kinds, ...); timing fields
-    (wall/cpu milliseconds, speedups) and the cache/hint counters
+    (wall/cpu milliseconds, speedups) and the cache counters
     themselves are exempt, as is the embedded metrics snapshot whose
     histograms include wall-time series;
   * the warm run's full-result hit rate falls below --min-hit-rate
@@ -42,8 +42,6 @@ VOLATILE = {
     "speedup",
     "cache_hits",
     "cache_misses",
-    "hint_used",
-    "hint_stale",
     "metrics",
 }
 
