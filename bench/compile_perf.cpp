@@ -7,7 +7,10 @@
  *
  *  - suite totals of the deterministic work counters: II attempts,
  *    assignment retries, evictions, copies, MRT word scans and
- *    LoopContext hits/misses. They are a function of the code alone,
+ *    LoopContext hits/misses, plus the exact arm's probes, conflicts,
+ *    decisions and propagations from a race-backend pass over the
+ *    same suite on 4c-gp-4b-2p (conflict budgets, not wall clocks,
+ *    bound that arm). They are a function of the code alone,
  *    so every repetition must report the same totals (the binary
  *    aborts otherwise), and tools/check_compile_perf.py demands they
  *    equal the checked-in bench/baselines/compile_perf_baseline.json;
@@ -42,14 +45,24 @@ struct WorkCounters
     long mrtWordScans = 0;
     long ctxHits = 0;
     long ctxMisses = 0;
+    long exactProbes = 0;
+    long exactConflicts = 0;
+    long exactDecisions = 0;
+    long exactPropagations = 0;
 
     bool operator==(const WorkCounters &) const = default;
 };
 
 WorkCounters
-countersOf(const BatchStats &stats)
+countersOf(const BatchStats &stats, const BatchOutcome &race)
 {
     WorkCounters c;
+    for (const CompileResult &result : race.results) {
+        c.exactProbes += result.exact.probes;
+        c.exactConflicts += result.exact.conflicts;
+        c.exactDecisions += result.exact.decisions;
+        c.exactPropagations += result.exact.propagations;
+    }
     c.attempts = stats.iiAttempts;
     c.assignRetries = stats.assignRetries;
     c.evictions = stats.evictions;
@@ -81,7 +94,11 @@ countersJson(const WorkCounters &c)
        << "\"copies\":" << c.copies << ","
        << "\"mrt_word_scans\":" << c.mrtWordScans << ","
        << "\"ctx_hits\":" << c.ctxHits << ","
-       << "\"ctx_misses\":" << c.ctxMisses << "}";
+       << "\"ctx_misses\":" << c.ctxMisses << ","
+       << "\"exact_probes\":" << c.exactProbes << ","
+       << "\"exact_conflicts\":" << c.exactConflicts << ","
+       << "\"exact_decisions\":" << c.exactDecisions << ","
+       << "\"exact_propagations\":" << c.exactPropagations << "}";
     return os.str();
 }
 
@@ -127,14 +144,22 @@ main(int argc, char **argv)
     const std::vector<Dfg> &suite = benchutil::sharedSuite();
     const std::vector<CompileJob> jobs =
         clusteredJobs(suite, machine, CompileOptions{});
+    const MachineDesc raceMachine = busedGpMachine(4, 4, 2);
+    CompileOptions race;
+    race.backend = CompileBackend::Race;
+    const std::vector<CompileJob> raceJobs =
+        clusteredJobs(suite, raceMachine, race);
 
     std::cerr << "timing " << suite.size() << " loops on "
-              << machine.name << ", " << reps << " reps..." << std::endl;
+              << machine.name << " (and a race pass on "
+              << raceMachine.name << "), " << reps << " reps..."
+              << std::endl;
     BatchOutcome fastest;
     WorkCounters counters;
     for (int rep = 0; rep < reps; ++rep) {
         BatchOutcome outcome = BatchRunner::run(jobs, 1);
-        const WorkCounters seen = countersOf(outcome.stats);
+        const WorkCounters seen =
+            countersOf(outcome.stats, BatchRunner::run(raceJobs, 1));
         if (rep == 0) {
             counters = seen;
         } else if (!(seen == counters)) {

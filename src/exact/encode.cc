@@ -230,16 +230,23 @@ ExactEncoder::sameVar(SatSolver &solver, NodeId u, NodeId w)
 }
 
 void
-ExactEncoder::usage(SatSolver &solver, PoolId pool, int row,
+ExactEncoder::usage(SatSolver &solver, PoolId pool, const SatVar *rows,
                     std::initializer_list<SatLit> conds)
 {
-    const SatVar used = solver.newVar();
-    clause_.clear();
-    for (const SatLit l : conds)
-        clause_.push_back(~l);
-    clause_.push_back(mkLit(used));
-    solver.addClause(clause_);
-    usage_.emplace_back(pool * ii_ + row, mkLit(used));
+    // Timed: one literal per MRT row r, also implied by rows[r]. Time-
+    // free: one literal for the whole pool, bucket `pool`.
+    const int count = horizon_ == timeFree ? 1 : std::min(ii_, horizon_);
+    for (int r = 0; r < count; ++r) {
+        const SatVar used = solver.newVar();
+        clause_.clear();
+        for (const SatLit l : conds)
+            clause_.push_back(~l);
+        if (horizon_ != timeFree)
+            clause_.push_back(~mkLit(rows[r]));
+        clause_.push_back(mkLit(used));
+        solver.addClause(clause_);
+        usage_.emplace_back(pool * rowsPerPool_ + r, mkLit(used));
+    }
 }
 
 void
@@ -283,15 +290,18 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
 {
     if (!supported(why))
         return false;
-    cams_assert(ii >= 1 && horizon >= 2, "degenerate exact instance");
+    const bool timed = horizon != timeFree;
+    cams_assert(ii >= 1 && (!timed || horizon >= 2),
+                "degenerate exact instance");
     ii_ = ii;
     horizon_ = horizon;
+    rowsPerPool_ = timed ? ii : 1;
     const int n = graph_.numNodes();
     const int C = numClusters_;
     const int T = horizon;
     const size_t nc = static_cast<size_t>(n) * C;
     const size_t nt = static_cast<size_t>(n) * T;
-    const size_t nr = static_cast<size_t>(n) * ii;
+    const size_t nr = timed ? static_cast<size_t>(n) * ii : 0;
 
     cluster_.assign(nc, -1);
     order_.assign(nt, -1);
@@ -352,17 +362,22 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     }
 
     // --- Time: order variables with ladder chains + ASAP bounds. ---
-    for (NodeId v = 0; v < n; ++v)
-        makeOrderChain(solver, &order_[static_cast<size_t>(v) * T],
-                       asap_[v]);
+    if (timed) {
+        for (NodeId v = 0; v < n; ++v)
+            makeOrderChain(solver, &order_[static_cast<size_t>(v) * T],
+                           asap_[v]);
+    }
 
     // --- Copy machinery (annotatePartition semantics, broadcast). ---
     for (NodeId v = 0; v < n; ++v) {
         if (!copyCapable_[v])
             continue;
         copyActive_[v] = solver.newVar();
-        makeOrderChain(solver, &copyOrder_[static_cast<size_t>(v) * T],
-                       asap_[v] + std::max(graph_.node(v).latency, 0));
+        if (timed) {
+            makeOrderChain(
+                solver, &copyOrder_[static_cast<size_t>(v) * T],
+                asap_[v] + std::max(graph_.node(v).latency, 0));
+        }
         // Destination universe: every cluster some consumer may use,
         // ascending.
         for (const NodeId succ : graph_.successors(v)) {
@@ -380,8 +395,11 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
             solver.addClause(~mkLit(need), mkLit(copyActive_[v]));
         }
         // The copy reads v's result: issue no earlier than v + lat.
-        addPrecedence(solver, orderOf(v), copyOrderOf(v),
-                      graph_.node(v).latency, mkLit(copyActive_[v]));
+        if (timed) {
+            addPrecedence(solver, orderOf(v), copyOrderOf(v),
+                          graph_.node(v).latency,
+                          mkLit(copyActive_[v]));
+        }
     }
 
     // --- Dependence edges: timing + copy forcing. ---
@@ -396,13 +414,17 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
         const int clampedCross =
             static_cast<int>(std::clamp<long>(crossLag, -T, T));
         // Same cluster: the original edge as-is.
-        addPrecedence(solver, orderOf(e.src), orderOf(e.dst), clampedLag,
-                      same);
+        if (timed) {
+            addPrecedence(solver, orderOf(e.src), orderOf(e.dst),
+                          clampedLag, same);
+        }
         // Cross cluster: producer -> copy -> consumer, copy latency 1
         // at the original distance (assign/exhaustive.cc semantics).
         solver.addClause(same, mkLit(copyActive_[e.src]));
-        addPrecedence(solver, copyOrderOf(e.src), orderOf(e.dst),
-                      clampedCross, ~same);
+        if (timed) {
+            addPrecedence(solver, copyOrderOf(e.src), orderOf(e.dst),
+                          clampedCross, ~same);
+        }
         for (const ClusterId d : eligible_[e.dst]) {
             clause_.clear();
             clause_.push_back(~clusterLit(e.dst, d));
@@ -415,24 +437,24 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     }
 
     // --- Kernel rows: start = t implies row t mod II. ---
-    for (NodeId v = 0; v < n; ++v) {
-        const size_t base = static_cast<size_t>(v) * ii;
-        makeRows(solver, orderOf(v), &row_[base]);
-        if (copyCapable_[v])
-            makeRows(solver, copyOrderOf(v), &copyRow_[base]);
+    if (timed) {
+        for (NodeId v = 0; v < n; ++v) {
+            const size_t base = static_cast<size_t>(v) * ii;
+            makeRows(solver, orderOf(v), &row_[base]);
+            if (copyCapable_[v])
+                makeRows(solver, copyOrderOf(v), &copyRow_[base]);
+        }
     }
 
-    // --- Resource usage literals, grouped per (pool, row). ---
+    // --- Resource usage literals, grouped per (pool, row); a time-
+    // free instance has one group per pool. ---
     for (NodeId v = 0; v < n; ++v) {
         const FuClass cls = opcodeFuClass(graph_.node(v).op);
-        const SatVar *rows = &row_[static_cast<size_t>(v) * ii];
-        const SatVar *copyRows = &copyRow_[static_cast<size_t>(v) * ii];
-        for (const ClusterId c : eligible_[v]) {
-            const PoolId pool = model_.fuPool(c, cls);
-            for (int r = 0; r < ii && r < T; ++r)
-                usage(solver, pool, r,
-                      {clusterLit(v, c), mkLit(rows[r])});
-        }
+        const size_t base = static_cast<size_t>(v) * ii;
+        const SatVar *rows = timed ? &row_[base] : nullptr;
+        const SatVar *copyRows = timed ? &copyRow_[base] : nullptr;
+        for (const ClusterId c : eligible_[v])
+            usage(solver, model_.fuPool(c, cls), rows, {clusterLit(v, c)});
         if (!copyCapable_[v])
             continue;
         const SatLit active = mkLit(copyActive_[v]);
@@ -443,16 +465,13 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
                 solver.addClause(~active, ~clusterLit(v, c));
                 continue;
             }
-            for (int r = 0; r < ii && r < T; ++r)
-                usage(solver, read, r,
-                      {active, clusterLit(v, c), mkLit(copyRows[r])});
+            usage(solver, read, copyRows, {active, clusterLit(v, c)});
         }
         const PoolId bus = model_.busPool();
         if (bus == invalidPool) {
             solver.addClause(~active); // busless: no transfers at all
         } else {
-            for (int r = 0; r < ii && r < T; ++r)
-                usage(solver, bus, r, {active, mkLit(copyRows[r])});
+            usage(solver, bus, copyRows, {active});
         }
         for (ClusterId d = 0; d < C; ++d) {
             const SatVar need = copyNeed_[static_cast<size_t>(v) * C + d];
@@ -463,14 +482,13 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
                 solver.addClause(~mkLit(need));
                 continue;
             }
-            for (int r = 0; r < ii && r < T; ++r)
-                usage(solver, write, r,
-                      {mkLit(need), mkLit(copyRows[r])});
+            usage(solver, write, copyRows, {mkLit(need)});
         }
     }
     // Counting sort of the usage literals into (pool, row) buckets,
-    // keeping emission order inside each bucket.
-    const int buckets = model_.numPools() * ii;
+    // keeping emission order inside each bucket. A time-free bucket
+    // holds a pool's whole II-row budget.
+    const int buckets = model_.numPools() * rowsPerPool_;
     bucketStart_.assign(buckets + 1, 0);
     for (const auto &[bucket, lit] : usage_)
         ++bucketStart_[bucket + 1];
@@ -483,8 +501,10 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     for (int b = 0; b < buckets; ++b) {
         atMostK(solver, bucketLits_.data() + bucketStart_[b],
                 bucketStart_[b + 1] - bucketStart_[b],
-                model_.capacity(b / ii));
+                model_.capacity(b / rowsPerPool_) * (timed ? 1 : ii));
     }
+    if (!timed)
+        return true;
 
     // --- Anchor: some node starts at cycle 0. Any schedule shifts
     // uniformly (rows permute, dependences keep their slack) to meet
@@ -514,6 +534,7 @@ void
 ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
                      Schedule &schedule) const
 {
+    cams_assert(horizon_ != timeFree, "decode of a time-free instance");
     const int n = graph_.numNodes();
     std::vector<ClusterId> clusterOf(n, invalidCluster);
     for (NodeId v = 0; v < n; ++v) {

@@ -37,6 +37,22 @@
  * schedule exists at this II. fastHorizon(ii) is a smaller window
  * that finds almost every satisfiable instance cheaply; the solver
  * escalates to the sound horizon only to certify UNSAT.
+ *
+ * Time-free resource-count relaxation (horizon timeFree): the same
+ * emission path with every time variable left out -- the cluster
+ * exactly-one and value-precedence clauses, the copy-active, copy-
+ * need and same-cluster forcing clauses, and the usage literals
+ * without their row literal, under one at-most-(capacity x II) per
+ * pool. It is implied by the timed encoding at every horizon: a
+ * schedule at II has a cluster assignment and an annotatePartition
+ * copy set, and each op and copy claims one slot of each of its
+ * pools in one of the II MRT rows (mrt.hh), so no pool is claimed
+ * more than capacity x II times. UNSAT here is therefore a
+ * certificate that no schedule exists at this II, whatever the
+ * horizon; SAT says nothing. It is the paper's resource argument --
+ * per-cluster function units, plus the bus and port slots that
+ * inter-cluster copies take -- at a fraction of the timed instance's
+ * size.
  */
 
 #ifndef CAMS_EXACT_ENCODE_HH
@@ -62,6 +78,9 @@ class ExactEncoder
   public:
     ExactEncoder(const Dfg &graph, const ResourceModel &model);
 
+    /** The horizon of the time-free resource-count relaxation. */
+    static constexpr int timeFree = 0;
+
     /**
      * Static support check (II-independent): bused interconnect,
      * every node executable on some cluster, no pre-existing copy
@@ -81,9 +100,10 @@ class ExactEncoder
 
     /**
      * Emits the CNF for one (ii, horizon) instance into a fresh
-     * solver. Returns false only for unsupported inputs (see
-     * supported()); a trivially infeasible II yields an
-     * already-contradictory solver instead.
+     * solver; horizon timeFree emits the resource-count relaxation.
+     * Returns false only for unsupported inputs (see supported()); a
+     * trivially infeasible II yields an already-contradictory solver
+     * instead.
      */
     bool encode(int ii, int horizon, SatSolver &solver,
                 std::string *why = nullptr);
@@ -91,7 +111,8 @@ class ExactEncoder
     /**
      * Reads the model of the last encoded instance back into an
      * annotated loop (copies spliced annotatePartition-style) and its
-     * schedule. Valid only after that solver returned Sat.
+     * schedule. Valid only after that solver returned Sat on a
+     * timed instance.
      */
     void decode(const SatSolver &solver, AnnotatedLoop &loop,
                 Schedule &schedule) const;
@@ -117,8 +138,12 @@ class ExactEncoder
     /** Same-cluster indicator of a producer/consumer pair (memoized). */
     SatVar sameVar(SatSolver &solver, NodeId u, NodeId w);
 
-    /** One usage literal of (pool, row), implied by all of @p conds. */
-    void usage(SatSolver &solver, PoolId pool, int row,
+    /**
+     * The usage literals of @p pool implied by all of @p conds: one
+     * per MRT row r, also implied by rows[r], or one for the whole
+     * pool in a time-free instance (@p rows unused).
+     */
+    void usage(SatSolver &solver, PoolId pool, const SatVar *rows,
                std::initializer_list<SatLit> conds);
 
     /** Sinz sequential at-most-k over the literals. */
@@ -143,6 +168,7 @@ class ExactEncoder
     // [v * horizon + t], [v * II + r]; -1 = no variable.
     int ii_ = 0;
     int horizon_ = 0;
+    int rowsPerPool_ = 0; ///< usage buckets per pool: II, or 1 time-free
     std::vector<SatVar> cluster_;
     std::vector<SatVar> order_;
     std::vector<SatVar> copyActive_; ///< [v]
@@ -153,7 +179,8 @@ class ExactEncoder
     std::vector<SatVar> samePair_;   ///< [u * n + w]
     std::vector<char> dstMark_;      ///< [c], copy destination universe
 
-    /** Usage literals in emission order, tagged pool * II + row. */
+    /** Usage literals in emission order, tagged
+     *  pool * rowsPerPool_ + row. */
     std::vector<std::pair<int, SatLit>> usage_;
     /** The same literals grouped per (pool, row), emission order kept. */
     std::vector<int> bucketStart_;

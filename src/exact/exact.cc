@@ -52,10 +52,25 @@ exactOutcomeName(ExactOutcome outcome)
     return "?";
 }
 
+const char *
+exactProofName(ExactProof proof)
+{
+    switch (proof) {
+      case ExactProof::None:
+        return "none";
+      case ExactProof::Counts:
+        return "counts";
+      case ExactProof::Horizon:
+        return "horizon";
+    }
+    return "?";
+}
+
 namespace
 {
 
-/** One (ii, horizon) solve; accumulates counters into @p out. */
+/** One (ii, horizon) solve, horizon timeFree for the resource-count
+ *  relaxation; accumulates counters into @p out. */
 SatStatus
 solveWindow(ExactEncoder &encoder, int ii, int horizon,
             const ExactOptions &options, ExactDecision &out,
@@ -106,6 +121,18 @@ exactDecideAtIi(const Dfg &graph, const ResourceModel &model, int ii,
         return out;
     }
 
+    // Resource counts first: UNSAT certifies the II at any horizon.
+    // SAT, or a budget blow-out, proves nothing; the ladder decides.
+    {
+        SatSolver solver;
+        if (solveWindow(encoder, ii, ExactEncoder::timeFree, options,
+                        out, solver) == SatStatus::Unsat) {
+            out.verdict = ExactVerdict::Unsat;
+            out.proof = ExactProof::Counts;
+            return out;
+        }
+    }
+
     // Horizon ladder: hunt for a schedule in the small window first
     // (SAT there is final), escalate to the completeness-preserving
     // window only to turn UNSAT into a certificate.
@@ -137,6 +164,7 @@ exactDecideAtIi(const Dfg &graph, const ResourceModel &model, int ii,
         // UNSAT: a certificate only at the sound horizon.
         if (horizon >= sound) {
             out.verdict = ExactVerdict::Unsat;
+            out.proof = ExactProof::Horizon;
             return out;
         }
         if (sound > options.horizonLimit) {

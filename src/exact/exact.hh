@@ -21,10 +21,25 @@
  * conflict) with wall-clock as a backstop, so CI behavior is
  * reproducible.
  *
+ * One per-II decision tries three instances of the encoder, in order
+ * (encode.hh):
+ *
+ *  1. counts: the time-free resource-count relaxation. UNSAT is a
+ *     certificate at every horizon, so the decision ends Unsat with
+ *     proof Counts; SAT or an exhausted budget proves nothing and
+ *     falls through.
+ *  2. fast: the timed encoding at fastHorizon. SAT is final; UNSAT
+ *     is not a certificate.
+ *  3. sound: the timed encoding at soundHorizon. UNSAT ends Unsat
+ *     with proof Horizon.
+ *
+ * Each instance runs in a fresh solver under the full budget, so a
+ * SAT decision walks exactly the search it would without step 1.
+ *
  * Certification honesty: a SAT answer is decoded and re-checked by
  * the independent verifier before anyone sees it, and an UNSAT
- * answer counts only when the encoder ran at its completeness-
- * preserving horizon (encode.hh); anything else degrades to Budget.
+ * answer counts only from the relaxation or from the encoder at its
+ * completeness-preserving horizon; anything else degrades to Budget.
  */
 
 #ifndef CAMS_EXACT_EXACT_HH
@@ -93,6 +108,17 @@ enum class ExactVerdict
     Unsupported, ///< instance not encodable (see detail)
 };
 
+/** Which encoding certified an Unsat decision. */
+enum class ExactProof
+{
+    None,    ///< not an Unsat decision
+    Counts,  ///< the time-free resource-count relaxation
+    Horizon, ///< the timed encoding at soundHorizon
+};
+
+/** Stable lowercase name of a proof ("none", "counts", "horizon"). */
+const char *exactProofName(ExactProof proof);
+
 /** Aggregate outcome of the exact arm of one compile. */
 enum class ExactOutcome
 {
@@ -126,6 +152,10 @@ struct ExactStats
     /** II decision instances solved. */
     int probes = 0;
 
+    /** Unsat decisions, by the proof that certified them. */
+    int unsatByCounts = 0;
+    int unsatByHorizon = 0;
+
     /** Summed solver counters across all probes. */
     long conflicts = 0;
     long decisions = 0;
@@ -143,11 +173,14 @@ struct ExactDecision
 {
     ExactVerdict verdict = ExactVerdict::Unsupported;
 
+    /** Unsat only: the encoding whose UNSAT is the certificate. */
+    ExactProof proof = ExactProof::None;
+
     /** Sat only: the decoded, verifier-approved result. */
     AnnotatedLoop loop;
     Schedule schedule;
 
-    /** Solver counters summed over the horizon ladder. */
+    /** Solver counters summed over every instance solved. */
     long conflicts = 0;
     long decisions = 0;
     long propagations = 0;

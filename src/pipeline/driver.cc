@@ -480,10 +480,15 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         result.exact.decisions += decision.decisions;
         result.exact.propagations += decision.propagations;
         result.exact.solveMs += probe_watch.elapsedMs();
-        traceDecision(options.trace, "exact_probe",
-                      {{"ii", std::to_string(ii)},
-                       {"verdict",
-                        exactVerdictName(decision.verdict)}});
+        TraceArgs args{{"ii", std::to_string(ii)},
+                       {"verdict", exactVerdictName(decision.verdict)}};
+        if (decision.proof == ExactProof::Counts)
+            ++result.exact.unsatByCounts;
+        if (decision.proof == ExactProof::Horizon)
+            ++result.exact.unsatByHorizon;
+        if (decision.proof != ExactProof::None)
+            args.emplace_back("proof", exactProofName(decision.proof));
+        traceDecision(options.trace, "exact_probe", std::move(args));
         return decision;
     };
 

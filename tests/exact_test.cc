@@ -3,15 +3,20 @@
  * Tests of the exact backend: the CDCL core (unit propagation,
  * conflict learning, restart schedule termination, deterministic
  * conflict budgets), the joint assignment+scheduling encoder's
- * round-trip through the independent verifier, and the driver's
- * backend protocol (exact optimality, race tighten/certify, the
- * heuristic default leaving the arm untouched).
+ * round-trip through the independent verifier, the time-free
+ * resource-count relaxation against judges outside it, and the
+ * driver's backend protocol (exact optimality, race tighten/certify,
+ * the heuristic default leaving the arm untouched).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "assign/exhaustive.hh"
 #include "exact/encode.hh"
 #include "exact/exact.hh"
 #include "exact/sat.hh"
@@ -316,6 +321,241 @@ TEST(ExactEncoder, SuiteProbesKeepTheirSolverCounters)
         EXPECT_EQ(digest, pin.model)
             << std::hex << std::uppercase << "0x" << digest << "ULL";
     }
+}
+
+// ------------------------------------------ resource-count relaxation
+
+/** Solves one fresh instance of @p graph at (ii, horizon); horizon
+ *  ExactEncoder::timeFree is the resource-count relaxation. */
+SatStatus
+solveAt(const Dfg &graph, const ResourceModel &model, int ii,
+        int horizon = ExactEncoder::timeFree,
+        long budget = ExactOptions{}.conflictBudget,
+        long *conflicts = nullptr)
+{
+    ExactEncoder encoder(graph, model);
+    SatSolver solver;
+    EXPECT_TRUE(encoder.encode(ii, horizon, solver));
+    SatBudget limit;
+    limit.maxConflicts = budget;
+    const SatStatus status = solver.solve(limit);
+    if (conflicts)
+        *conflicts = solver.stats().conflicts;
+    return status;
+}
+
+/** The two reference machines, with the number of race probes the
+ *  suite makes on each and how many of them are Unsat. */
+struct RaceMachine
+{
+    MachineDesc machine;
+    int raceProbes;
+    int raceUnsat;
+};
+
+std::vector<RaceMachine>
+raceMachines()
+{
+    return {{busedGpMachine(2, 2, 1), 45, 39},
+            {busedGpMachine(4, 4, 2), 38, 19}};
+}
+
+const std::vector<Dfg> &
+fullSuite()
+{
+    static const std::vector<Dfg> suite =
+        buildSuite(1327, defaultSuiteSeed);
+    return suite;
+}
+
+/** Default-options compiles of fullSuite() on @p machine, in suite
+ *  order; computed once per machine name. */
+const std::vector<CompileResult> &
+heuristicCompiles(const MachineDesc &machine)
+{
+    static std::map<std::string, std::vector<CompileResult>> memo;
+    std::vector<CompileResult> &results = memo[machine.name];
+    if (results.empty()) {
+        for (const Dfg &graph : fullSuite())
+            results.push_back(compileClustered(graph, machine));
+    }
+    return results;
+}
+
+TEST(CountRelaxation, SatWhereverTheHeuristicSchedules)
+{
+    // Oracle: a verifier-approved heuristic schedule is a witness that
+    // the II is feasible, so the relaxation must not refute it.
+    for (const RaceMachine &race : raceMachines()) {
+        SCOPED_TRACE(race.machine.name);
+        const ResourceModel model(race.machine);
+        int witnesses = 0;
+        const std::vector<CompileResult> &compiles =
+            heuristicCompiles(race.machine);
+        for (size_t i = 0; i < compiles.size(); ++i) {
+            const Dfg &graph = fullSuite()[i];
+            const CompileResult &result = compiles[i];
+            if (!result.success ||
+                !verifySchedule(result.loop, model, result.schedule))
+                continue;
+            ++witnesses;
+            EXPECT_EQ(solveAt(graph, model, result.ii), SatStatus::Sat)
+                << graph.name() << " refuted at its heuristic II "
+                << result.ii;
+        }
+        EXPECT_EQ(witnesses, 1327);
+    }
+}
+
+TEST(CountRelaxation, UnsatImpliesSoundHorizonUnsat)
+{
+    // Oracle: the complete timed encoding at soundHorizon. Every race
+    // probe of the suite is replayed; where the relaxation certifies,
+    // the full encoding must agree. The relaxation also proves every
+    // Unsat probe of the suite, so none reaches the horizon ladder.
+    for (const RaceMachine &race : raceMachines()) {
+        SCOPED_TRACE(race.machine.name);
+        const ResourceModel model(race.machine);
+        const std::vector<CompileResult> &compiles =
+            heuristicCompiles(race.machine);
+        int probes = 0;
+        int refuted = 0;
+        for (size_t i = 0; i < compiles.size(); ++i) {
+            const Dfg &graph = fullSuite()[i];
+            const CompileResult &heuristic = compiles[i];
+            if (!heuristic.success ||
+                heuristic.degraded != DegradeLevel::None)
+                continue;
+            // The race arm probes [MII, heuristic II) ascending, at
+            // most maxProbes IIs, and stops at its first answer that
+            // is not Unsat.
+            const int last = std::min(heuristic.ii - 1,
+                                      heuristic.mii.mii +
+                                          ExactOptions{}.maxProbes - 1);
+            for (int ii = heuristic.mii.mii; ii <= last; ++ii) {
+                ++probes;
+                if (solveAt(graph, model, ii) == SatStatus::Unsat) {
+                    ++refuted;
+                    const int sound =
+                        ExactEncoder(graph, model).soundHorizon(ii);
+                    EXPECT_EQ(solveAt(graph, model, ii, sound),
+                              SatStatus::Unsat)
+                        << graph.name() << " at II " << ii;
+                } else if (exactDecideAtIi(graph, model, ii,
+                                           ExactOptions{})
+                               .verdict != ExactVerdict::Unsat) {
+                    break;
+                }
+            }
+        }
+        EXPECT_EQ(probes, race.raceProbes);
+        EXPECT_EQ(refuted, race.raceUnsat);
+    }
+}
+
+TEST(CountRelaxation, UnsatImpliesNoExhaustivePartition)
+{
+    // Oracle: the count-mode partition enumerator, which shares no
+    // code with the encoder. It also applies the annotated recurrence
+    // bound, so it may refute more -- never less. The relaxation
+    // refutes 39 of these (loop, II) pairs on 2c and none on 4c, where
+    // loops this small fit at their MII.
+    struct Case
+    {
+        MachineDesc machine;
+        int maxNodes;
+    };
+    const Case cases[] = {{busedGpMachine(2, 2, 1), 14},
+                          {busedGpMachine(4, 4, 2), 8}};
+    int refuted = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.machine.name);
+        const ResourceModel model(c.machine);
+        int checked = 0;
+        for (const Dfg &graph : fullSuite()) {
+            if (graph.numNodes() > c.maxNodes)
+                continue;
+            const int mii = computeMii(graph, c.machine).mii;
+            for (int ii = mii; ii <= mii + 1; ++ii) {
+                ++checked;
+                if (solveAt(graph, model, ii) != SatStatus::Unsat)
+                    continue;
+                ++refuted;
+                EXPECT_EQ(exhaustiveFeasible(graph, model, ii,
+                                             c.maxNodes),
+                          ExhaustiveVerdict::Infeasible)
+                    << graph.name() << " at II " << ii;
+            }
+        }
+        EXPECT_GT(checked, 0);
+    }
+    EXPECT_GT(refuted, 0);
+}
+
+TEST(CountRelaxation, OutOfBudgetFallsThroughToTheLadder)
+{
+    // A relaxation that dies on its budget proves nothing: the
+    // decision must be exactly what the fast -> sound ladder alone
+    // says, with the relaxation's spent conflicts added on top. Every
+    // suite loop is probed from its MII up to its heuristic II on the
+    // 4-cluster machine, at a budget of exactly the conflicts the
+    // relaxation needs to finish, which it then just misses. A few
+    // relaxations outlast a fast SAT answer (synth364 at II 1: 73
+    // conflicts, against 48), so the ladder still answers there.
+    const MachineDesc machine = busedGpMachine(4, 4, 2);
+    const ResourceModel model(machine);
+    int fellThrough = 0;
+    int answered = 0;
+    const std::vector<CompileResult> &compiles = heuristicCompiles(machine);
+    for (size_t i = 0; i < compiles.size(); ++i) {
+        const Dfg &graph = fullSuite()[i];
+        const CompileResult &heuristic = compiles[i];
+        if (graph.numNodes() > ExactOptions{}.nodeLimit)
+            continue; // never encoded
+        ASSERT_TRUE(heuristic.success) << graph.name();
+        const ExactEncoder encoder(graph, model);
+        for (int ii = heuristic.mii.mii; ii <= heuristic.ii; ++ii) {
+            const int counts = ExactEncoder::timeFree;
+            long budget = 0;
+            solveAt(graph, model, ii, counts, 0, &budget);
+            long counted = 0;
+            if (budget == 0 ||
+                solveAt(graph, model, ii, counts, budget, &counted) !=
+                    SatStatus::Unknown)
+                continue;
+            ++fellThrough;
+            long fastConflicts = 0;
+            long soundConflicts = 0;
+            ExactVerdict ladder = ExactVerdict::Budget;
+            const SatStatus fast =
+                solveAt(graph, model, ii, encoder.fastHorizon(ii), budget,
+                        &fastConflicts);
+            if (fast == SatStatus::Sat) {
+                ladder = ExactVerdict::Sat;
+            } else if (fast == SatStatus::Unsat &&
+                       solveAt(graph, model, ii, encoder.soundHorizon(ii),
+                               budget, &soundConflicts) ==
+                           SatStatus::Unsat) {
+                ladder = ExactVerdict::Unsat;
+            }
+            ExactOptions options;
+            options.conflictBudget = budget;
+            const ExactDecision decision =
+                exactDecideAtIi(graph, model, ii, options);
+            EXPECT_EQ(decision.verdict, ladder)
+                << graph.name() << " at II " << ii << ", budget "
+                << budget;
+            EXPECT_EQ(decision.conflicts,
+                      counted + fastConflicts + soundConflicts);
+            EXPECT_EQ(decision.proof, ladder == ExactVerdict::Unsat
+                                          ? ExactProof::Horizon
+                                          : ExactProof::None);
+            if (ladder != ExactVerdict::Budget)
+                ++answered;
+        }
+    }
+    EXPECT_GT(fellThrough, 0);
+    EXPECT_GT(answered, 0);
 }
 
 // ------------------------------------------------------------- driver

@@ -536,6 +536,8 @@ main(int argc, char **argv)
             std::cout << " (certified optimal at II=" << result.ii
                       << ")";
         std::cout << " probes=" << result.exact.probes
+                  << " unsat_counts=" << result.exact.unsatByCounts
+                  << " unsat_horizon=" << result.exact.unsatByHorizon
                   << " conflicts=" << result.exact.conflicts << " "
                   << formatFixed(result.exact.solveMs, 2) << "ms";
         if (!result.exact.detail.empty())

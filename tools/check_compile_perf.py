@@ -8,11 +8,12 @@ fails (exit 1) when any of the following hold:
     (the counters are suite totals, so a subsampled run cannot be
     compared);
   * any deterministic work counter (attempts, assign_retries,
-    evictions, copies, mrt_word_scans, ctx_hits, ctx_misses) differs
-    from the baseline. The counters depend on the code alone, not on
-    the runner, so they must match exactly: a higher count is a
-    regression, and a lower one is an improvement that has to ratchet
-    the baseline in the same change;
+    evictions, copies, mrt_word_scans, ctx_hits, ctx_misses, and the
+    race pass's exact_probes, exact_conflicts, exact_decisions,
+    exact_propagations) differs from the baseline. The counters depend
+    on the code alone, not on the runner, so they must match exactly:
+    a higher count is a regression, and a lower one is an improvement
+    that has to ratchet the baseline in the same change;
   * the mean wall time per loop exceeds twice the baseline's. Wall
     time is otherwise only printed, as a trend: runner speed varies
     too much for a tighter bound.
@@ -31,7 +32,8 @@ import sys
 
 COUNTERS = (
     "attempts", "assign_retries", "evictions", "copies",
-    "mrt_word_scans", "ctx_hits", "ctx_misses",
+    "mrt_word_scans", "ctx_hits", "ctx_misses", "exact_probes",
+    "exact_conflicts", "exact_decisions", "exact_propagations",
 )
 WALL_KEYS = ("mean_ns_per_loop", "p50_ns", "p90_ns")
 # Fail only when the mean wall time per loop passes this multiple of
