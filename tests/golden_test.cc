@@ -12,6 +12,12 @@
  * exact arm -- shows up as a digest mismatch. A change that alters
  * output on purpose must update the table and say why. Every case
  * also demands that no cams_check fired along the way.
+ *
+ * Race cases carry a second digest over what the exact arm decided
+ * per loop -- name, II, exact II, tightened, certified, outcome, probe
+ * count and proof counts -- but not the schedule it decoded. It pins
+ * the arm's verdicts on their own, so a change that may move a decoded
+ * schedule but must not move a verdict is held to exactly that.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +92,22 @@ addResult(Digest &digest, const CompileResult &result)
     }
 }
 
+void
+addOutcome(Digest &digest, const std::string &name,
+           const CompileResult &result)
+{
+    const ExactStats &exact = result.exact;
+    digest.add(name);
+    digest.add(static_cast<uint64_t>(result.ii));
+    digest.add(static_cast<uint64_t>(exact.exactIi));
+    digest.add(exact.tightened ? 1 : 0);
+    digest.add(exact.certified ? 1 : 0);
+    digest.add(static_cast<uint64_t>(exact.outcome));
+    digest.add(static_cast<uint64_t>(exact.probes));
+    digest.add(static_cast<uint64_t>(exact.unsatByCounts));
+    digest.add(static_cast<uint64_t>(exact.unsatByHorizon));
+}
+
 const std::vector<Dfg> &
 suite()
 {
@@ -104,6 +126,8 @@ struct GoldenCase
     SchedulerKind scheduler = SchedulerKind::Swing;
     /** Compile for the equally wide unified machine (compileUnified). */
     bool unified = false;
+    /** Race cases: digest of the exact arm's per-loop outcomes. */
+    uint64_t expectedOutcome = 0;
 };
 
 MachineDesc gp2() { return busedGpMachine(2, 2, 1); }
@@ -138,9 +162,9 @@ const GoldenCase goldenCases[] = {
     {"grid/heuristic-iterative", grid, true, true, heuristic,
      0x4180E352AD9722AFULL},
     {"2c-gp-2b-1p/race", gp2, true, true, race,
-     0xE7638587D7B12B67ULL},
+     0xE7638587D7B12B67ULL, swing, false, 0x4AE2E8ACE7F01782ULL},
     {"4c-gp-4b-2p/race", gp4, true, true, race,
-     0xC5FD9FCD28E6A1D8ULL},
+     0xC5FD9FCD28E6A1D8ULL, swing, false, 0xBDA93D0373E4F68DULL},
     {"2c-gp-2b-1p/heuristic-iterative/ims", gp2, true, true, heuristic,
      0x2B0C49A0593FB116ULL, ims},
     {"2c-gp-2b-1p/unified", gp2, true, true, heuristic,
@@ -165,12 +189,14 @@ TEST_P(GoldenDigest, FullSuiteMatches)
     options.scheduler = golden.scheduler;
 
     Digest digest;
+    Digest outcomes;
     long recoveries = 0;
     for (const Dfg &loop : suite()) {
         const CompileResult result =
             golden.unified ? compileUnified(loop, unified, options)
                            : compileClustered(loop, machine, options);
         addResult(digest, result);
+        addOutcome(outcomes, loop.name(), result);
         recoveries += result.invariantRecoveries;
     }
     // A recovered cams_check is a bug even when the retry hides it;
@@ -181,6 +207,12 @@ TEST_P(GoldenDigest, FullSuiteMatches)
                   static_cast<unsigned long long>(digest.value()));
     EXPECT_EQ(digest.value(), golden.expected)
         << golden.name << " digest is " << printed;
+    if (golden.backend == CompileBackend::Race) {
+        std::snprintf(printed, sizeof printed, "0x%016llXULL",
+                      static_cast<unsigned long long>(outcomes.value()));
+        EXPECT_EQ(outcomes.value(), golden.expectedOutcome)
+            << golden.name << " outcome digest is " << printed;
+    }
 }
 
 std::string
