@@ -530,11 +530,9 @@ ExactEncoder::decodeStart(const SatSolver &solver,
     return start;
 }
 
-void
-ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
-                     Schedule &schedule) const
+std::vector<ClusterId>
+ExactEncoder::partition(const SatSolver &solver) const
 {
-    cams_assert(horizon_ != timeFree, "decode of a time-free instance");
     const int n = graph_.numNodes();
     std::vector<ClusterId> clusterOf(n, invalidCluster);
     for (NodeId v = 0; v < n; ++v) {
@@ -548,6 +546,30 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
         cams_assert(clusterOf[v] != invalidCluster,
                     "model without a cluster choice");
     }
+    return clusterOf;
+}
+
+void
+ExactEncoder::hintPartition(SatSolver &solver,
+                            const std::vector<ClusterId> &clusterOf) const
+{
+    if (!solver.okay())
+        return; // contradictory at encode time: no cluster variables
+    for (NodeId v = 0; v < graph_.numNodes(); ++v) {
+        for (const ClusterId c : eligible_[v])
+            solver.setPhase(
+                cluster_[static_cast<size_t>(v) * numClusters_ + c],
+                c == clusterOf[v]);
+    }
+}
+
+void
+ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
+                     Schedule &schedule) const
+{
+    cams_assert(horizon_ != timeFree, "decode of a time-free instance");
+    const int n = graph_.numNodes();
+    const std::vector<ClusterId> clusterOf = partition(solver);
 
     // Splice copies exactly as annotatePartition does for broadcast
     // machines, so AnnotatedLoop::validate and the verifier see the

@@ -117,6 +117,24 @@ class ExactEncoder
     void decode(const SatSolver &solver, AnnotatedLoop &loop,
                 Schedule &schedule) const;
 
+    /**
+     * The cluster of every node in the model of the last encoded
+     * instance, timed or time-free. Valid only after that solver
+     * returned Sat.
+     */
+    std::vector<ClusterId> partition(const SatSolver &solver) const;
+
+    /**
+     * Seeds the saved phases of the last encoded instance's cluster
+     * variables with @p clusterOf (one eligible cluster per node), so
+     * the solver's first descent tries that partition. No clause
+     * changes: the instance has exactly the models it had before.
+     * Copy variables need no seed; propagation forces them from the
+     * cluster choice.
+     */
+    void hintPartition(SatSolver &solver,
+                       const std::vector<ClusterId> &clusterOf) const;
+
   private:
     SatLit clusterLit(NodeId v, ClusterId c) const;
     SatLit orderLit(NodeId v, int t) const;     ///< start(v) >= t

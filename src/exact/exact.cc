@@ -1,5 +1,7 @@
 #include "exact/exact.hh"
 
+#include <vector>
+
 #include "exact/encode.hh"
 #include "sched/verifier.hh"
 
@@ -70,9 +72,11 @@ namespace
 {
 
 /** One (ii, horizon) solve, horizon timeFree for the resource-count
- *  relaxation; accumulates counters into @p out. */
+ *  relaxation, with the cluster phases seeded from @p hint unless it
+ *  is empty; accumulates counters into @p out. */
 SatStatus
 solveWindow(ExactEncoder &encoder, int ii, int horizon,
+            const std::vector<ClusterId> &hint,
             const ExactOptions &options, ExactDecision &out,
             SatSolver &solver)
 {
@@ -82,6 +86,8 @@ solveWindow(ExactEncoder &encoder, int ii, int horizon,
         out.detail = why;
         return SatStatus::Unknown;
     }
+    if (!hint.empty())
+        encoder.hintPartition(solver, hint);
     SatBudget budget;
     budget.maxConflicts = options.conflictBudget;
     budget.timeBudgetMs = options.timeBudgetMs;
@@ -123,24 +129,36 @@ exactDecideAtIi(const Dfg &graph, const ResourceModel &model, int ii,
 
     // Resource counts first: UNSAT certifies the II at any horizon.
     // SAT, or a budget blow-out, proves nothing; the ladder decides.
+    // A SAT model's cluster partition fits every pool's slot count at
+    // this II, so it is where the timed search starts looking.
+    std::vector<ClusterId> hint;
     {
         SatSolver solver;
-        if (solveWindow(encoder, ii, ExactEncoder::timeFree, options,
-                        out, solver) == SatStatus::Unsat) {
+        const SatStatus status =
+            solveWindow(encoder, ii, ExactEncoder::timeFree, {},
+                        options, out, solver);
+        if (status == SatStatus::Unsat) {
             out.verdict = ExactVerdict::Unsat;
             out.proof = ExactProof::Counts;
             return out;
         }
+        if (status == SatStatus::Sat)
+            hint = encoder.partition(solver);
     }
 
     // Horizon ladder: hunt for a schedule in the small window first
     // (SAT there is final), escalate to the completeness-preserving
-    // window only to turn UNSAT into a certificate.
+    // window only to turn UNSAT into a certificate. Each rung seeds
+    // its cluster phases with the hint. A phase picks the first
+    // descent and adds no clause, so it changes which schedule a SAT
+    // rung finds and how many conflicts a rung spends, never whether
+    // a schedule exists: SAT is still decoded and re-verified, and
+    // UNSAT still counts only at the sound horizon.
     int horizon = fast;
     while (true) {
         SatSolver solver;
-        const SatStatus status =
-            solveWindow(encoder, ii, horizon, options, out, solver);
+        const SatStatus status = solveWindow(encoder, ii, horizon, hint,
+                                             options, out, solver);
         if (status == SatStatus::Sat) {
             encoder.decode(solver, out.loop, out.schedule);
             std::string reject;

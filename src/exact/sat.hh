@@ -3,7 +3,10 @@
  * A small self-contained CDCL SAT solver: two-watched-literal unit
  * propagation, first-UIP conflict analysis with clause learning,
  * VSIDS-lite variable activities with phase saving, Luby restarts,
- * and budget-aware cancellation.
+ * and budget-aware cancellation. Saved phases can be seeded before
+ * the solve (setPhase), so a caller that knows a likely model -- the
+ * exact backend's resource-count partition -- starts the first
+ * descent there.
  *
  * The solver exists to answer the exact backend's per-II decision
  * problems (src/exact/encode.*); it is deliberately minimal -- no
@@ -14,9 +17,10 @@
  * machines and sanitizers; an optional wall-clock bound rides along
  * for the compile driver's per-job deadline.
  *
- * Determinism: with a fixed clause stream and fixed budget the solve
- * is a pure function -- decision order depends only on activities,
- * which depend only on the conflict history. No randomness anywhere.
+ * Determinism: with a fixed clause stream, fixed seeded phases and a
+ * fixed budget the solve is a pure function -- decision order depends
+ * only on activities, which depend only on the conflict history. No
+ * randomness anywhere.
  */
 
 #ifndef CAMS_EXACT_SAT_HH
@@ -138,6 +142,13 @@ class SatSolver
         const SatLit lits[] = {a, b, c};
         return addClause(lits, 3);
     }
+
+    /**
+     * Sets the polarity the first decision on @p v tries (every
+     * variable starts at false). A hint only: it steers which model
+     * the search meets first, never whether one exists.
+     */
+    void setPhase(SatVar v, bool value) { phase_[v] = value ? 1 : 0; }
 
     /** False once a root-level contradiction was derived. */
     bool okay() const { return ok_; }

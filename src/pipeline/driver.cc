@@ -564,14 +564,16 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             result.failureDetail = "exact backend unsupported: " +
                                    result.exact.detail;
         }
-        if (!options.fallback) {
-            finish();
-            return result;
-        }
-        // Fall through to the degradation ladder below.
+        // Timeout and Unsat fall through to the degradation ladder
+        // below; Unsupported first takes the heuristic sweep.
     }
 
-    if (options.backend != CompileBackend::Exact) {
+    // The heuristic sweep: the primary search of the heuristic and
+    // race backends, and the exact backend's answer for a loop outside
+    // the encodable fragment (its outcome stays Unsupported, so the
+    // result never reads as optimal).
+    if (options.backend != CompileBackend::Exact ||
+        result.exact.outcome == ExactOutcome::Unsupported) {
         IiEscalator::Policy primary;
         primary.countAttempts = true;
         primary.traceIis = true;

@@ -4,9 +4,11 @@
  * conflict learning, restart schedule termination, deterministic
  * conflict budgets), the joint assignment+scheduling encoder's
  * round-trip through the independent verifier, the time-free
- * resource-count relaxation against judges outside it, and the
- * driver's backend protocol (exact optimality, race tighten/certify,
- * the heuristic default leaving the arm untouched).
+ * resource-count relaxation against judges outside it, the
+ * relaxation's partition as a phase hint that moves no verdict, and
+ * the driver's backend protocol (exact optimality, race
+ * tighten/certify, the heuristic answer for an unencodable loop, the
+ * heuristic default leaving the arm untouched).
  */
 
 #include <gtest/gtest.h>
@@ -382,6 +384,35 @@ heuristicCompiles(const MachineDesc &machine)
     return results;
 }
 
+/**
+ * Calls @p probe(graph, ii) on every probe the race arm makes over
+ * the suite on @p machine, in race order: [MII, heuristic II) per
+ * heuristically scheduled loop, at most maxProbes IIs, stopping at the
+ * first verdict @p probe returns that is not Unsat. Returns the number
+ * of probes.
+ */
+template <typename Probe>
+int
+forEachRaceProbe(const MachineDesc &machine, Probe probe)
+{
+    const std::vector<CompileResult> &compiles = heuristicCompiles(machine);
+    int probes = 0;
+    for (size_t i = 0; i < compiles.size(); ++i) {
+        const CompileResult &heuristic = compiles[i];
+        if (!heuristic.success || heuristic.degraded != DegradeLevel::None)
+            continue;
+        const int last =
+            std::min(heuristic.ii - 1,
+                     heuristic.mii.mii + ExactOptions{}.maxProbes - 1);
+        for (int ii = heuristic.mii.mii; ii <= last; ++ii) {
+            ++probes;
+            if (probe(fullSuite()[i], ii) != ExactVerdict::Unsat)
+                break;
+        }
+    }
+    return probes;
+}
+
 TEST(CountRelaxation, SatWhereverTheHeuristicSchedules)
 {
     // Oracle: a verifier-approved heuristic schedule is a witness that
@@ -416,38 +447,21 @@ TEST(CountRelaxation, UnsatImpliesSoundHorizonUnsat)
     for (const RaceMachine &race : raceMachines()) {
         SCOPED_TRACE(race.machine.name);
         const ResourceModel model(race.machine);
-        const std::vector<CompileResult> &compiles =
-            heuristicCompiles(race.machine);
-        int probes = 0;
         int refuted = 0;
-        for (size_t i = 0; i < compiles.size(); ++i) {
-            const Dfg &graph = fullSuite()[i];
-            const CompileResult &heuristic = compiles[i];
-            if (!heuristic.success ||
-                heuristic.degraded != DegradeLevel::None)
-                continue;
-            // The race arm probes [MII, heuristic II) ascending, at
-            // most maxProbes IIs, and stops at its first answer that
-            // is not Unsat.
-            const int last = std::min(heuristic.ii - 1,
-                                      heuristic.mii.mii +
-                                          ExactOptions{}.maxProbes - 1);
-            for (int ii = heuristic.mii.mii; ii <= last; ++ii) {
-                ++probes;
-                if (solveAt(graph, model, ii) == SatStatus::Unsat) {
-                    ++refuted;
-                    const int sound =
-                        ExactEncoder(graph, model).soundHorizon(ii);
-                    EXPECT_EQ(solveAt(graph, model, ii, sound),
-                              SatStatus::Unsat)
-                        << graph.name() << " at II " << ii;
-                } else if (exactDecideAtIi(graph, model, ii,
+        const int probes = forEachRaceProbe(
+            race.machine, [&](const Dfg &graph, int ii) {
+                if (solveAt(graph, model, ii) != SatStatus::Unsat)
+                    return exactDecideAtIi(graph, model, ii,
                                            ExactOptions{})
-                               .verdict != ExactVerdict::Unsat) {
-                    break;
-                }
-            }
-        }
+                        .verdict;
+                ++refuted;
+                const int sound =
+                    ExactEncoder(graph, model).soundHorizon(ii);
+                EXPECT_EQ(solveAt(graph, model, ii, sound),
+                          SatStatus::Unsat)
+                    << graph.name() << " at II " << ii;
+                return ExactVerdict::Unsat;
+            });
         EXPECT_EQ(probes, race.raceProbes);
         EXPECT_EQ(refuted, race.raceUnsat);
     }
@@ -558,6 +572,181 @@ TEST(CountRelaxation, OutOfBudgetFallsThroughToTheLadder)
     EXPECT_GT(answered, 0);
 }
 
+// ------------------------------------------------ relaxation hint
+
+/** What seeds the timed rungs' cluster phases in replayLadder. */
+enum class Hint
+{
+    None,       ///< no seed: every phase false
+    Relaxation, ///< the relaxation's partition, as exactDecideAtIi does
+    AllOnZero,  ///< wrong on purpose: every node on cluster 0
+    Rotated,    ///< wrong on purpose: the partition moved one cluster up
+};
+
+/** Outcome of one replayed decision. */
+struct Replay
+{
+    ExactVerdict verdict = ExactVerdict::Budget;
+    long conflicts = 0;
+    AnnotatedLoop loop;
+    Schedule schedule;
+};
+
+/**
+ * Replays the counts -> fast -> sound decision at @p ii through the
+ * public encoder and solver API, one fresh solver per instance under
+ * the default budget, seeding each timed rung as @p hint says. A SAT
+ * rung's model is decoded into the result.
+ */
+Replay
+replayLadder(const Dfg &graph, const ResourceModel &model, int ii,
+             Hint hint)
+{
+    Replay out;
+    ExactEncoder encoder(graph, model);
+    SatBudget budget;
+    budget.maxConflicts = ExactOptions{}.conflictBudget;
+    std::vector<ClusterId> seed;
+    {
+        SatSolver solver;
+        EXPECT_TRUE(encoder.encode(ii, ExactEncoder::timeFree, solver));
+        const SatStatus status = solver.solve(budget);
+        out.conflicts += solver.stats().conflicts;
+        if (status == SatStatus::Unsat) {
+            out.verdict = ExactVerdict::Unsat;
+            return out;
+        }
+        if (status == SatStatus::Sat && hint != Hint::None)
+            seed = encoder.partition(solver);
+    }
+    const int clusters = model.machine().numClusters();
+    for (ClusterId &c : seed) {
+        if (hint == Hint::AllOnZero)
+            c = 0;
+        else if (hint == Hint::Rotated)
+            c = (c + 1) % clusters;
+    }
+    const int fast = encoder.fastHorizon(ii);
+    const int sound = encoder.soundHorizon(ii);
+    for (const int horizon : {fast, sound}) {
+        SatSolver solver;
+        EXPECT_TRUE(encoder.encode(ii, horizon, solver));
+        if (!seed.empty())
+            encoder.hintPartition(solver, seed);
+        const SatStatus status = solver.solve(budget);
+        out.conflicts += solver.stats().conflicts;
+        if (status == SatStatus::Sat) {
+            encoder.decode(solver, out.loop, out.schedule);
+            out.verdict = ExactVerdict::Sat;
+            return out;
+        }
+        if (status == SatStatus::Unknown)
+            return out;
+        if (horizon >= sound)
+            break;
+    }
+    out.verdict = ExactVerdict::Unsat;
+    return out;
+}
+
+/** Re-checks a SAT decode with the judges outside the encoder. */
+void
+expectVerified(const AnnotatedLoop &loop, const Schedule &schedule,
+               const ResourceModel &model, const std::string &where)
+{
+    std::string why;
+    EXPECT_TRUE(loop.validate(model.machine(), &why)) << where << ": " << why;
+    EXPECT_TRUE(verifySchedule(loop, model, schedule, &why))
+        << where << ": " << why;
+}
+
+TEST(RelaxationHint, VerdictsMatchTheUnhintedLadder)
+{
+    // The hint is a phase, so every race probe of the suite must get
+    // the verdict a ladder that never saw the relaxation's model gets.
+    // The hinted replay must also be exactly the production decision,
+    // down to its conflict count, or the comparison proves nothing.
+    for (const RaceMachine &race : raceMachines()) {
+        SCOPED_TRACE(race.machine.name);
+        const ResourceModel model(race.machine);
+        int sat = 0;
+        const int probes = forEachRaceProbe(
+            race.machine, [&](const Dfg &graph, int ii) {
+                const ExactDecision decision =
+                    exactDecideAtIi(graph, model, ii, ExactOptions{});
+                const Replay hinted =
+                    replayLadder(graph, model, ii, Hint::Relaxation);
+                const Replay blind =
+                    replayLadder(graph, model, ii, Hint::None);
+                EXPECT_EQ(decision.verdict, blind.verdict)
+                    << graph.name() << " at II " << ii;
+                EXPECT_EQ(decision.verdict, hinted.verdict);
+                EXPECT_EQ(decision.conflicts, hinted.conflicts)
+                    << graph.name() << " at II " << ii;
+                sat += decision.verdict == ExactVerdict::Sat;
+                return decision.verdict;
+            });
+        EXPECT_EQ(probes, race.raceProbes);
+        EXPECT_EQ(sat, race.raceProbes - race.raceUnsat);
+    }
+}
+
+TEST(RelaxationHint, WrongHintsKeepTheVerdicts)
+{
+    // A deliberately wrong partition -- everything on one cluster, or
+    // every node moved to the next cluster -- may cost conflicts but
+    // must not change a single verdict.
+    for (const RaceMachine &race : raceMachines()) {
+        SCOPED_TRACE(race.machine.name);
+        const ResourceModel model(race.machine);
+        const int probes = forEachRaceProbe(
+            race.machine, [&](const Dfg &graph, int ii) {
+                const ExactVerdict blind =
+                    replayLadder(graph, model, ii, Hint::None).verdict;
+                for (const Hint wrong : {Hint::AllOnZero, Hint::Rotated}) {
+                    EXPECT_EQ(replayLadder(graph, model, ii, wrong).verdict,
+                              blind)
+                        << graph.name() << " at II " << ii << ", hint "
+                        << static_cast<int>(wrong);
+                }
+                return blind;
+            });
+        EXPECT_EQ(probes, race.raceProbes);
+    }
+}
+
+TEST(RelaxationHint, SatDecodesPassTheVerifier)
+{
+    // Whatever the seed, a SAT model decodes into an annotated loop and
+    // schedule that the independent judges accept.
+    for (const RaceMachine &race : raceMachines()) {
+        SCOPED_TRACE(race.machine.name);
+        const ResourceModel model(race.machine);
+        int decoded = 0;
+        forEachRaceProbe(race.machine, [&](const Dfg &graph, int ii) {
+            const ExactDecision decision =
+                exactDecideAtIi(graph, model, ii, ExactOptions{});
+            const std::string where =
+                graph.name() + " at II " + std::to_string(ii);
+            if (decision.verdict == ExactVerdict::Sat) {
+                ++decoded;
+                expectVerified(decision.loop, decision.schedule, model,
+                               where);
+            }
+            for (const Hint wrong : {Hint::AllOnZero, Hint::Rotated}) {
+                const Replay replay = replayLadder(graph, model, ii, wrong);
+                if (replay.verdict == ExactVerdict::Sat) {
+                    ++decoded;
+                    expectVerified(replay.loop, replay.schedule, model,
+                                   where);
+                }
+            }
+            return decision.verdict;
+        });
+        EXPECT_EQ(decoded, 3 * (race.raceProbes - race.raceUnsat));
+    }
+}
+
 // ------------------------------------------------------------- driver
 
 TEST(ExactBackend, NamesRoundTrip)
@@ -605,6 +794,38 @@ TEST(ExactBackend, ExactModeIsOptimalAndVerified)
     EXPECT_LE(result.ii, base.ii);
     EXPECT_GE(result.ii, result.mii.mii);
     EXPECT_GT(result.exact.probes, 0);
+}
+
+TEST(ExactBackend, UnsupportedLoopTakesTheHeuristicAnswer)
+{
+    // Past the node limit the exact backend cannot encode the loop; it
+    // must answer with the heuristic sweep, as race does, rather than
+    // the degradation ladder, and must not call the result optimal.
+    DfgBuilder builder("wide");
+    NodeId prev = builder.addNode(Opcode::Load);
+    for (int i = 1; i < 72; ++i) {
+        const NodeId next = builder.addNode(
+            i % 2 ? Opcode::IntAlu : Opcode::FpAdd);
+        builder.addEdge(prev, next);
+        prev = next;
+    }
+    const Dfg graph = builder.build();
+    ASSERT_GT(graph.numNodes(), ExactOptions{}.nodeLimit);
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+
+    const CompileResult heuristic = compileClustered(graph, machine);
+    ASSERT_TRUE(heuristic.success);
+    ASSERT_EQ(heuristic.degraded, DegradeLevel::None);
+
+    CompileOptions exact;
+    exact.backend = CompileBackend::Exact;
+    const CompileResult result = compileClustered(graph, machine, exact);
+    ASSERT_TRUE(result.success) << result.failureDetail;
+    EXPECT_EQ(result.degraded, DegradeLevel::None);
+    EXPECT_EQ(result.exact.outcome, ExactOutcome::Unsupported);
+    EXPECT_EQ(result.exact.detail, "node_limit");
+    EXPECT_EQ(result.ii, heuristic.ii);
+    EXPECT_EQ(result.schedule.startCycle, heuristic.schedule.startCycle);
 }
 
 TEST(ExactBackend, RaceTightensOrCertifies)

@@ -162,9 +162,9 @@ const GoldenCase goldenCases[] = {
     {"grid/heuristic-iterative", grid, true, true, heuristic,
      0x4180E352AD9722AFULL},
     {"2c-gp-2b-1p/race", gp2, true, true, race,
-     0xE7638587D7B12B67ULL, swing, false, 0x4AE2E8ACE7F01782ULL},
+     0x03A458C5D1385E19ULL, swing, false, 0x4AE2E8ACE7F01782ULL},
     {"4c-gp-4b-2p/race", gp4, true, true, race,
-     0xC5FD9FCD28E6A1D8ULL, swing, false, 0xBDA93D0373E4F68DULL},
+     0xE62A6A297F8DCEF9ULL, swing, false, 0xBDA93D0373E4F68DULL},
     {"2c-gp-2b-1p/heuristic-iterative/ims", gp2, true, true, heuristic,
      0x2B0C49A0593FB116ULL, ims},
     {"2c-gp-2b-1p/unified", gp2, true, true, heuristic,
