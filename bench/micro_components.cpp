@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the compiler's building blocks:
  * SCC decomposition, RecMII, the order analyses and the swing sweep
  * (timed apart), MRT operations, cluster assignment and the two
- * schedulers, over generated loops of several sizes; and the compile
- * cache's hit path (key derivation, lookup) over the suite loops.
+ * schedulers, over generated loops of several sizes; and, over the
+ * suite loops, the compile cache's hit path (key derivation, lookup)
+ * and the exact arm's per-II decision.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include <unistd.h>
 
 #include "assign/assigner.hh"
+#include "exact/exact.hh"
 #include "frontend/parser.hh"
 #include "graph/recmii.hh"
 #include "graph/scc.hh"
@@ -236,6 +238,38 @@ BM_CacheLookupHit(benchmark::State &state)
     std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CacheLookupHit);
+
+/**
+ * One exact per-II decision (counts relaxation, then the timed ladder)
+ * on a suite loop the race arm tightens on 4c-gp-4b-2p. Args: suite
+ * index, II -- synth1267 (47 nodes) at II 3, and synth250 (15 nodes)
+ * at II 1. Reports the solver's conflicts per decision alongside.
+ */
+void
+BM_ExactDecide(benchmark::State &state)
+{
+    const Dfg &graph = suiteLoops()[state.range(0)];
+    const int ii = static_cast<int>(state.range(1));
+    const ResourceModel model(busedGpMachine(4, 4, 2));
+    const ExactOptions options;
+    long conflicts = 0;
+    for (auto _ : state) {
+        const ExactDecision decision =
+            exactDecideAtIi(graph, model, ii, options);
+        if (decision.verdict != ExactVerdict::Sat) {
+            state.SkipWithError("the probe is no longer SAT");
+            break;
+        }
+        conflicts = decision.conflicts;
+        benchmark::DoNotOptimize(decision);
+    }
+    state.SetLabel(graph.name());
+    state.counters["conflicts"] = static_cast<double>(conflicts);
+}
+BENCHMARK(BM_ExactDecide)
+    ->Args({1267, 3})
+    ->Args({250, 1})
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -8,7 +8,9 @@
  *
  *  - Exact: the II search itself is the ascending decision ladder
  *    MII, MII+1, ... -- the first SAT answer is an optimal schedule
- *    (every lower II carries an UNSAT certificate).
+ *    (every lower II carries an UNSAT certificate). A loop outside
+ *    the encodable fragment takes the heuristic answer instead and
+ *    keeps outcome Unsupported, so it never reads as optimal.
  *  - Race: the heuristic cascade answers first under the ordinary
  *    compile budget; the exact arm then probes II = MII .. II_h - 1.
  *    A SAT answer *tightens* the result to a strictly better II; an
@@ -33,8 +35,13 @@
  *  3. sound: the timed encoding at soundHorizon. UNSAT ends Unsat
  *     with proof Horizon.
  *
- * Each instance runs in a fresh solver under the full budget, so a
- * SAT decision walks exactly the search it would without step 1.
+ * Each instance runs in a fresh solver under the full budget. When
+ * step 1 is SAT, its model's node -> cluster partition seeds the
+ * saved phases of steps 2 and 3's cluster variables, so their first
+ * descent tries a partition that already fits every pool's slot
+ * count. A phase adds no clause: it changes which schedule a SAT
+ * step finds and the conflicts a step spends, never whether a
+ * schedule exists, so the verdicts are those of an unseeded ladder.
  *
  * Certification honesty: a SAT answer is decoded and re-checked by
  * the independent verifier before anyone sees it, and an UNSAT

@@ -564,8 +564,8 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             result.failureDetail = "exact backend unsupported: " +
                                    result.exact.detail;
         }
-        // Timeout and Unsat fall through to the degradation ladder
-        // below; Unsupported first takes the heuristic sweep.
+        // Timeout and Unsat go on to the degradation ladder below
+        // (if enabled); Unsupported first takes the heuristic sweep.
     }
 
     // The heuristic sweep: the primary search of the heuristic and

@@ -72,7 +72,8 @@ struct CompileOptions
     /**
      * Engine selection (clustered compiles only). Heuristic is the
      * paper's cascade; Exact replaces the II search with ascending
-     * SAT decisions (first SAT II is provably optimal); Race runs the
+     * SAT decisions (first SAT II is provably optimal; a loop it
+     * cannot encode takes the heuristic answer); Race runs the
      * heuristic first and then lets the exact arm tighten the II or
      * certify it optimal within `exact`'s budgets. See
      * exact/exact.hh for the protocol and certification semantics.
