@@ -205,7 +205,7 @@ parseBatchArgs(int argc, char **argv)
             std::cerr << "usage: " << argv[0]
                       << " [--jobs N] [--seed S] [--trace FILE]"
                          " [--trace-level L] [--metrics FILE]"
-                         " [--backend heuristic|exact|race]"
+                         " [--backend heuristic|race]"
                          " [--cache-dir DIR] [--cache off|ro|rw]\n";
             std::exit(2);
         }

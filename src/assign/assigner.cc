@@ -1076,9 +1076,10 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
         }
     };
 
-    const int budget = std::max(
-        16, static_cast<int>(options_.evictionBudgetFactor *
-                             graph.numNodes()));
+    // Evictions allowed per run (min 16); exhausting the budget fails
+    // the assignment at this II.
+    constexpr int evictionsPerNode = 6;
+    const int budget = std::max(16, evictionsPerNode * graph.numNodes());
     int evictions = 0;
     int repair_rounds = rotation;
 

@@ -80,12 +80,6 @@ struct AssignOptions
     bool useSwingOrder = true;   ///< false: assign in plain id order
 
     /**
-     * Evictions allowed per run: factor * node count (min 16).
-     * Exhausting the budget fails the assignment at this II.
-     */
-    double evictionBudgetFactor = 6.0;
-
-    /**
      * Attempts per II before giving up (iterative variants only).
      * Each restart rotates the tie-breaks of the selection cascade,
      * exploring a different corner of the search space; the first

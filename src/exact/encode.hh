@@ -1,7 +1,7 @@
 /**
  * @file
  * CNF encoding of the joint cluster-assignment + modulo-scheduling
- * decision problem at a fixed II, for the exact backend.
+ * decision problem at a fixed II, for the exact arm.
  *
  * Variables, per original node v of the loop:
  *  - cluster vars c(v,k): exactly-one over the clusters whose

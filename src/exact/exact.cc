@@ -14,8 +14,6 @@ compileBackendName(CompileBackend backend)
     switch (backend) {
       case CompileBackend::Heuristic:
         return "heuristic";
-      case CompileBackend::Exact:
-        return "exact";
       case CompileBackend::Race:
         return "race";
     }
@@ -27,8 +25,6 @@ parseCompileBackend(const std::string &name, CompileBackend &out)
 {
     if (name == "heuristic")
         out = CompileBackend::Heuristic;
-    else if (name == "exact")
-        out = CompileBackend::Exact;
     else if (name == "race")
         out = CompileBackend::Race;
     else

@@ -1,22 +1,20 @@
 /**
  * @file
- * The exact backend: per-II SAT decisions over the joint
+ * The exact arm: per-II SAT decisions over the joint
  * cluster-assignment + modulo-scheduling problem, and the shared
  * types the driver uses to select and report backends.
  *
- * The driver consumes this in two modes (CompileOptions::backend):
- *
- *  - Exact: the II search itself is the ascending decision ladder
- *    MII, MII+1, ... -- the first SAT answer is an optimal schedule
- *    (every lower II carries an UNSAT certificate). A loop outside
- *    the encodable fragment takes the heuristic answer instead and
- *    keeps outcome Unsupported, so it never reads as optimal.
- *  - Race: the heuristic cascade answers first under the ordinary
- *    compile budget; the exact arm then probes II = MII .. II_h - 1.
- *    A SAT answer *tightens* the result to a strictly better II; an
- *    unbroken run of UNSAT answers *certifies* the heuristic II
- *    optimal; a budget blow-out leaves the heuristic answer standing
- *    with outcome Timeout.
+ * The race backend (CompileBackend::Race) is the one consumer: the
+ * heuristic cascade answers first under the ordinary compile budget;
+ * the exact arm then probes II = MII .. II_h - 1 in ascending order.
+ * A SAT answer *tightens* the result to a strictly better II (optimal,
+ * since every lower II carries an UNSAT certificate); an unbroken run
+ * of UNSAT answers *certifies* the heuristic II optimal; a budget
+ * blow-out leaves the heuristic answer standing with outcome Timeout,
+ * and a loop outside the encodable fragment keeps it with outcome
+ * Unsupported, so it never reads as optimal. When the heuristic finds
+ * nothing, the arm searches the whole II window before the driver's
+ * degradation ladder.
  *
  * Budgets are conflict counts first (deterministic across machines
  * and sanitizers -- the same instance always dies at the same
@@ -65,11 +63,10 @@ namespace cams
 enum class CompileBackend
 {
     Heuristic, ///< the paper's Figure 5 cascade (default)
-    Exact,     ///< SAT decisions only: first SAT II is optimal
     Race,      ///< heuristic first, exact arm tightens or certifies
 };
 
-/** Stable lowercase name ("heuristic", "exact", "race"). */
+/** Stable lowercase name ("heuristic", "race"). */
 const char *compileBackendName(CompileBackend backend);
 
 /** Parses a backend name; returns false on an unknown one. */
@@ -102,7 +99,7 @@ struct ExactOptions
      */
     int horizonLimit = 2048;
 
-    /** Most II values probed per compile (race and exact mode). */
+    /** Most II values probed per compile. */
     int maxProbes = 16;
 };
 

@@ -5,10 +5,10 @@
  * VSIDS-lite variable activities with phase saving, Luby restarts,
  * and budget-aware cancellation. Saved phases can be seeded before
  * the solve (setPhase), so a caller that knows a likely model -- the
- * exact backend's resource-count partition -- starts the first
+ * exact arm's resource-count partition -- starts the first
  * descent there.
  *
- * The solver exists to answer the exact backend's per-II decision
+ * The solver exists to answer the exact arm's per-II decision
  * problems (src/exact/encode.*); it is deliberately minimal -- no
  * preprocessing, no learned-clause deletion, no solving under
  * assumptions -- because the instances are rebuilt per II and die

@@ -37,7 +37,7 @@ constexpr uint32_t entryMagic = 0x31454343u;
 constexpr uint32_t entryFormatVersion = 2;
 
 /** Salts the options hash so schema changes invalidate old keys. */
-constexpr uint64_t optionsSchemaSalt = 0xca5cade100000002ULL;
+constexpr uint64_t optionsSchemaSalt = 0xca5cade100000003ULL;
 
 std::string
 hex16(uint64_t value)
@@ -213,10 +213,7 @@ makeCacheKey(const Dfg &graph, const MachineDesc &machine,
     oh = hashCombine(oh, clustered ? 1 : 0);
     oh = hashCombine(oh, static_cast<uint64_t>(options.scheduler));
     oh = hashCombine(oh, static_cast<uint64_t>(options.iiSlack));
-    oh = hashCombine(oh, options.verify ? 1 : 0);
     oh = hashCombine(oh, options.fallback ? 1 : 0);
-    oh = hashCombine(
-        oh, static_cast<uint64_t>(options.exhaustiveFallbackNodes));
     oh = hashCombine(oh, hashDouble(options.timeBudgetMs));
     // Backend selection changes what a "result" even is (a race can
     // tighten the II), and the exact budgets change which answers the
@@ -239,7 +236,6 @@ makeCacheKey(const Dfg &graph, const MachineDesc &machine,
     oh = hashCombine(oh, a.useSccAffinity ? 1 : 0);
     oh = hashCombine(oh, a.usePcrPrediction ? 1 : 0);
     oh = hashCombine(oh, a.useSwingOrder ? 1 : 0);
-    oh = hashCombine(oh, hashDouble(a.evictionBudgetFactor));
     oh = hashCombine(oh, static_cast<uint64_t>(a.restartsPerIi));
     // The tenant namespace salt, so a salted compile can never serve
     // another namespace's state.

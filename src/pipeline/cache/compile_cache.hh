@@ -91,10 +91,10 @@ struct CacheKey
 /**
  * Derives the content address of one compile. Everything that can
  * change the CompileResult participates: the exact loop image, the
- * machine image, the scheduler choice, the assignment
- * policy knobs, verify/fallback/iiSlack/exhaustiveFallbackNodes, the
- * time budget, the clustered-vs-unified path and the tenant
- * namespace salt (CompileOptions::cacheSalt). Deliberately excluded:
+ * machine image, the scheduler choice, the assignment policy knobs,
+ * fallback/iiSlack, the backend and the exact arm's budgets, the time
+ * budget, the clustered-vs-unified path and the tenant namespace salt
+ * (CompileOptions::cacheSalt). Deliberately excluded:
  * trace/metrics configuration (observability never changes results)
  * and the fault injector (fault-injected compiles bypass the cache
  * entirely).

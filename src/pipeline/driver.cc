@@ -443,25 +443,23 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                 escalate("sched_fail");
                 return IiEscalator::Outcome::Retry;
             }
-            if (options.verify) {
-                const Stopwatch verify_watch;
-                std::string why;
-                bool verified;
-                {
-                    TraceScope scope(options.trace, TraceLevel::Phase,
-                                     "verify", "phase");
-                    verified = verifySchedule(assignment.loop, model,
-                                              schedule, &why);
-                }
-                result.phaseMs.verifyMs += verify_watch.elapsedMs();
-                if (!verified) {
-                    ++result.verifierRejects;
-                    result.failure = FailureKind::VerifierReject;
-                    result.failureDetail = detail::concat(
-                        "verifier rejected II ", ii, ": ", why);
-                    escalate("verifier_reject");
-                    return IiEscalator::Outcome::Retry;
-                }
+            const Stopwatch verify_watch;
+            std::string why;
+            bool verified;
+            {
+                TraceScope scope(options.trace, TraceLevel::Phase,
+                                 "verify", "phase");
+                verified = verifySchedule(assignment.loop, model,
+                                          schedule, &why);
+            }
+            result.phaseMs.verifyMs += verify_watch.elapsedMs();
+            if (!verified) {
+                ++result.verifierRejects;
+                result.failure = FailureKind::VerifierReject;
+                result.failureDetail = detail::concat(
+                    "verifier rejected II ", ii, ": ", why);
+                escalate("verifier_reject");
+                return IiEscalator::Outcome::Retry;
             }
             acceptSchedule(result, std::move(assignment.loop),
                            std::move(schedule), ii,
@@ -469,7 +467,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             return IiEscalator::Outcome::Accept;
     };
 
-    // ---- The exact arm (backends Exact and Race): per-II SAT
+    // ---- The exact arm (race backend): per-II SAT
     // decisions with deterministic conflict budgets (exact/exact.hh).
     auto exactProbe = [&](int ii) {
         const Stopwatch probe_watch;
@@ -543,48 +541,14 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     result.failureDetail = detail::concat(
         "empty II search window [", result.mii.mii, ", ", limit, "]");
 
-    if (options.backend == CompileBackend::Exact) {
-        // Pure exact mode: the SAT ladder *is* the II search.
-        if (exactSearch(result.mii.mii, limit)) {
-            finish();
-            return result;
-        }
-        if (result.exact.outcome == ExactOutcome::Timeout) {
-            result.failure = FailureKind::Timeout;
-            result.failureDetail =
-                "exact backend budget exhausted: " +
-                result.exact.detail;
-        } else if (result.exact.outcome == ExactOutcome::Unsat) {
-            result.failure = FailureKind::IiExhausted;
-            result.failureDetail = detail::concat(
-                "exact backend: UNSAT at every II in [",
-                result.mii.mii, ", ", limit, "]");
-        } else {
-            result.failure = FailureKind::IiExhausted;
-            result.failureDetail = "exact backend unsupported: " +
-                                   result.exact.detail;
-        }
-        // Timeout and Unsat go on to the degradation ladder below
-        // (if enabled); Unsupported first takes the heuristic sweep.
-    }
-
-    // The heuristic sweep: the primary search of the heuristic and
-    // race backends, and the exact backend's answer for a loop outside
-    // the encodable fragment (its outcome stays Unsupported, so the
-    // result never reads as optimal).
-    if (options.backend != CompileBackend::Exact ||
-        result.exact.outcome == ExactOutcome::Unsupported) {
-        IiEscalator::Policy primary;
-        primary.countAttempts = true;
-        primary.traceIis = true;
-        primary.decisionEscalates = true;
-        primary.catchInvariant = true;
-        primary.summaryTimeout = true;
-        primary.traceTimeout = true;
-
-        escalator.sweep(result.mii.mii, limit, deadline, primary,
-                        attemptIi);
-    }
+    IiEscalator::Policy primary;
+    primary.countAttempts = true;
+    primary.traceIis = true;
+    primary.decisionEscalates = true;
+    primary.catchInvariant = true;
+    primary.summaryTimeout = true;
+    primary.traceTimeout = true;
+    escalator.sweep(result.mii.mii, limit, deadline, primary, attemptIi);
 
     if (options.backend == CompileBackend::Race) {
         if (result.success && result.degraded == DegradeLevel::None) {
@@ -621,10 +585,12 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     }
 
     // Degradation ladder, rung 1: exhaustive assignment for small
-    // loops. Runs injection-free on purpose -- faults model the
-    // primary path; the ladder is the recovery mechanism under test.
+    // loops (node count gated: the enumeration is exponential). Runs
+    // injection-free on purpose -- faults model the primary path; the
+    // ladder is the recovery mechanism under test.
+    constexpr int exhaustiveFallbackNodes = 8;
     if (!escalator.timedOut() && machine.numClusters() > 1 &&
-        graph.numNodes() <= options.exhaustiveFallbackNodes) {
+        graph.numNodes() <= exhaustiveFallbackNodes) {
         traceDecision(options.trace, "degrade_rung",
                       {{"rung", "exhaustive_assign"}});
         TraceScope rung_scope(options.trace, TraceLevel::Phase,
@@ -648,12 +614,9 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                     // count-feasible but not schedulable
                     return IiEscalator::Outcome::Retry;
                 }
-                if (options.verify) {
-                    std::string why;
-                    if (!verifySchedule(loop, model, schedule, &why)) {
-                        ++result.verifierRejects;
-                        return IiEscalator::Outcome::Retry;
-                    }
+                if (!verifySchedule(loop, model, schedule)) {
+                    ++result.verifierRejects;
+                    return IiEscalator::Outcome::Retry;
                 }
                 acceptSchedule(result, std::move(loop),
                                std::move(schedule), ii,
@@ -675,8 +638,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                           "single_cluster", "pipeline");
     if (auto degraded = degradeToSingleCluster(graph, model)) {
         std::string why;
-        if (!options.verify ||
-            verifySchedule(degraded->loop, model, degraded->schedule,
+        if (verifySchedule(degraded->loop, model, degraded->schedule,
                            &why)) {
             const int ii = degraded->schedule.ii;
             acceptSchedule(result, std::move(degraded->loop),
@@ -783,25 +745,22 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
                 escalate("sched_fail");
                 return IiEscalator::Outcome::Retry;
             }
-            if (options.verify) {
-                const Stopwatch verify_watch;
-                std::string why;
-                bool verified;
-                {
-                    TraceScope scope(options.trace, TraceLevel::Phase,
-                                     "verify", "phase");
-                    verified =
-                        verifySchedule(loop, model, schedule, &why);
-                }
-                result.phaseMs.verifyMs += verify_watch.elapsedMs();
-                if (!verified) {
-                    ++result.verifierRejects;
-                    result.failure = FailureKind::VerifierReject;
-                    result.failureDetail = detail::concat(
-                        "verifier rejected II ", ii, ": ", why);
-                    escalate("verifier_reject");
-                    return IiEscalator::Outcome::Retry;
-                }
+            const Stopwatch verify_watch;
+            std::string why;
+            bool verified;
+            {
+                TraceScope scope(options.trace, TraceLevel::Phase,
+                                 "verify", "phase");
+                verified = verifySchedule(loop, model, schedule, &why);
+            }
+            result.phaseMs.verifyMs += verify_watch.elapsedMs();
+            if (!verified) {
+                ++result.verifierRejects;
+                result.failure = FailureKind::VerifierReject;
+                result.failureDetail = detail::concat(
+                    "verifier rejected II ", ii, ": ", why);
+                escalate("verifier_reject");
+                return IiEscalator::Outcome::Retry;
             }
             acceptSchedule(result, loop, std::move(schedule), ii,
                            DegradeLevel::None);
@@ -813,8 +772,7 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
                       {{"rung", "single_cluster"}});
         if (auto degraded = degradeToSingleCluster(graph, model)) {
             std::string why;
-            if (!options.verify ||
-                verifySchedule(degraded->loop, model,
+            if (verifySchedule(degraded->loop, model,
                                degraded->schedule, &why)) {
                 const int ii = degraded->schedule.ii;
                 acceptSchedule(result, std::move(degraded->loop),

@@ -7,16 +7,17 @@
  * including a fresh assignment -- at II + 1.
  *
  * Hardening: compileClustered never aborts and always returns a
- * classified result. Invariant violations inside the search
- * (InternalError from cams_check) are caught and charged to the
- * current II; verifier rejections retry at II + 1 instead of
+ * classified result. Every produced schedule passes the independent
+ * verifier before it is accepted. Invariant violations inside the
+ * search (InternalError from cams_check) are caught and charged to
+ * the current II; verifier rejections retry at II + 1 instead of
  * panicking; an optional wall-clock budget bounds the search. When
  * the primary search runs dry, a degradation ladder takes over:
  *
- *  1. ExhaustiveAssign -- for small loops, enumerate every cluster
- *     partition (assign/exhaustive) and schedule the first feasible
- *     one. Optimal placement, exponential cost, so gated on node
- *     count.
+ *  1. ExhaustiveAssign -- for small loops (at most 8 nodes),
+ *     enumerate every cluster partition (assign/exhaustive) and
+ *     schedule the first feasible one. Optimal placement, exponential
+ *     cost, so gated on node count.
  *  2. SingleCluster -- place everything on cluster 0 and serialize
  *     one op per cycle (pipeline/degrade). Always cheap; fails only
  *     when cluster 0 cannot execute the loop at all.
@@ -71,16 +72,15 @@ struct CompileOptions
 
     /**
      * Engine selection (clustered compiles only). Heuristic is the
-     * paper's cascade; Exact replaces the II search with ascending
-     * SAT decisions (first SAT II is provably optimal; a loop it
-     * cannot encode takes the heuristic answer); Race runs the
-     * heuristic first and then lets the exact arm tighten the II or
-     * certify it optimal within `exact`'s budgets. See
-     * exact/exact.hh for the protocol and certification semantics.
+     * paper's cascade; Race runs the heuristic first and then lets
+     * the exact arm tighten the II or certify it optimal within
+     * `exact`'s budgets (and search the whole window when the
+     * heuristic finds nothing). See exact/exact.hh for the protocol
+     * and certification semantics.
      */
     CompileBackend backend = CompileBackend::Heuristic;
 
-    /** Budgets and limits of the exact arm (Exact and Race modes). */
+    /** Budgets and limits of the exact arm (race backend). */
     ExactOptions exact;
 
     /**
@@ -89,18 +89,12 @@ struct CompileOptions
      */
     int iiSlack = 64;
 
-    /** Verify every produced schedule with the independent checker. */
-    bool verify = true;
-
     /**
      * Run the degradation ladder when the primary search fails. Off,
      * the driver reports the classified failure and nothing else
      * (the paper-faithful behavior the figures are measured with).
      */
     bool fallback = true;
-
-    /** Node-count ceiling of the exhaustive fallback rung. */
-    int exhaustiveFallbackNodes = 8;
 
     /**
      * Wall-clock budget for one compile in milliseconds; 0 disables.

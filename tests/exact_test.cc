@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests of the exact backend: the CDCL core (unit propagation,
+ * Tests of the exact arm: the CDCL core (unit propagation,
  * conflict learning, restart schedule termination, deterministic
  * conflict budgets), the joint assignment+scheduling encoder's
  * round-trip through the independent verifier, the time-free
  * resource-count relaxation against judges outside it, the
  * relaxation's partition as a phase hint that moves no verdict, and
- * the driver's backend protocol (exact optimality, race
- * tighten/certify, the heuristic answer for an unencodable loop, the
- * heuristic default leaving the arm untouched).
+ * the driver's backend protocol (race tighten/certify, race keeping
+ * the heuristic answer for an unencodable loop, the heuristic default
+ * leaving the arm untouched).
  */
 
 #include <gtest/gtest.h>
@@ -752,8 +752,7 @@ TEST(RelaxationHint, SatDecodesPassTheVerifier)
 TEST(ExactBackend, NamesRoundTrip)
 {
     for (const CompileBackend backend :
-         {CompileBackend::Heuristic, CompileBackend::Exact,
-          CompileBackend::Race}) {
+         {CompileBackend::Heuristic, CompileBackend::Race}) {
         CompileBackend parsed = CompileBackend::Heuristic;
         ASSERT_TRUE(
             parseCompileBackend(compileBackendName(backend), parsed));
@@ -761,6 +760,7 @@ TEST(ExactBackend, NamesRoundTrip)
     }
     CompileBackend parsed;
     EXPECT_FALSE(parseCompileBackend("sat", parsed));
+    EXPECT_FALSE(parseCompileBackend("exact", parsed));
 }
 
 TEST(ExactBackend, HeuristicDefaultLeavesArmNotRun)
@@ -773,57 +773,34 @@ TEST(ExactBackend, HeuristicDefaultLeavesArmNotRun)
     EXPECT_EQ(result.exact.probes, 0);
 }
 
-TEST(ExactBackend, ExactModeIsOptimalAndVerified)
-{
-    const Dfg graph = twoChainLoop();
-    const MachineDesc machine = busedGpMachine(2, 2, 1);
-
-    CompileOptions heuristic;
-    const CompileResult base =
-        compileClustered(graph, machine, heuristic);
-    ASSERT_TRUE(base.success);
-
-    CompileOptions exact;
-    exact.backend = CompileBackend::Exact;
-    const CompileResult result =
-        compileClustered(graph, machine, exact);
-    ASSERT_TRUE(result.success) << result.failureDetail;
-    EXPECT_EQ(result.exact.outcome, ExactOutcome::Sat);
-    EXPECT_EQ(result.degraded, DegradeLevel::None);
-    // Optimality: never worse than the heuristic, never below MII.
-    EXPECT_LE(result.ii, base.ii);
-    EXPECT_GE(result.ii, result.mii.mii);
-    EXPECT_GT(result.exact.probes, 0);
-}
-
 TEST(ExactBackend, UnsupportedLoopTakesTheHeuristicAnswer)
 {
-    // Past the node limit the exact backend cannot encode the loop; it
-    // must answer with the heuristic sweep, as race does, rather than
-    // the degradation ladder, and must not call the result optimal.
-    DfgBuilder builder("wide");
-    NodeId prev = builder.addNode(Opcode::Load);
-    for (int i = 1; i < 72; ++i) {
-        const NodeId next = builder.addNode(
-            i % 2 ? Opcode::IntAlu : Opcode::FpAdd);
-        builder.addEdge(prev, next);
-        prev = next;
-    }
-    const Dfg graph = builder.build();
-    ASSERT_GT(graph.numNodes(), ExactOptions{}.nodeLimit);
+    // A loop whose heuristic II sits above MII, so race has a lower II
+    // to probe, but past the node limit: the arm cannot encode it and
+    // must leave the heuristic answer standing without calling it
+    // optimal.
     const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const std::vector<CompileResult> &compiles =
+        heuristicCompiles(machine);
+    const auto above = std::find_if(
+        compiles.begin(), compiles.end(), [](const CompileResult &r) {
+            return r.success && r.degraded == DegradeLevel::None &&
+                   r.ii > r.mii.mii;
+        });
+    ASSERT_NE(above, compiles.end());
+    const CompileResult &heuristic = *above;
+    const Dfg &graph = fullSuite()[above - compiles.begin()];
 
-    const CompileResult heuristic = compileClustered(graph, machine);
-    ASSERT_TRUE(heuristic.success);
-    ASSERT_EQ(heuristic.degraded, DegradeLevel::None);
-
-    CompileOptions exact;
-    exact.backend = CompileBackend::Exact;
-    const CompileResult result = compileClustered(graph, machine, exact);
+    CompileOptions race;
+    race.backend = CompileBackend::Race;
+    race.exact.nodeLimit = graph.numNodes() - 1;
+    const CompileResult result = compileClustered(graph, machine, race);
     ASSERT_TRUE(result.success) << result.failureDetail;
     EXPECT_EQ(result.degraded, DegradeLevel::None);
     EXPECT_EQ(result.exact.outcome, ExactOutcome::Unsupported);
     EXPECT_EQ(result.exact.detail, "node_limit");
+    EXPECT_FALSE(result.exact.tightened);
+    EXPECT_FALSE(result.exact.certified);
     EXPECT_EQ(result.ii, heuristic.ii);
     EXPECT_EQ(result.schedule.startCycle, heuristic.schedule.startCycle);
 }

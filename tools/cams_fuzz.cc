@@ -73,7 +73,7 @@ usage()
            "(fault-injected jobs bypass it)\n"
            "  --cache MODE     off, ro or rw (default rw with "
            "--cache-dir)\n"
-           "  --backend KIND   heuristic (default), exact, or race;\n"
+           "  --backend KIND   heuristic (default) or race;\n"
            "                   race stresses the SAT arm against the "
            "oracle too\n";
     return 2;
@@ -199,7 +199,6 @@ main(int argc, char **argv)
         job.loop = &loops.back();
         job.machine = &machines.back();
         job.clustered = true;
-        job.options.verify = true;
         job.options.backend = backend;
         job.options.trace.tag = "fuzz_" + std::to_string(i);
         if (i % 16 == 7) {

@@ -80,11 +80,9 @@ usage()
            "  --machine FILE     machine description (default: 2 "
            "clusters x 4 GP, 2 buses, 1 port)\n"
            "  --scheduler KIND   sms (default) or ims\n"
-           "  --backend KIND     heuristic (default), exact, or race\n"
-           "                     exact: SAT decisions replace the II "
-           "search (optimal)\n"
+           "  --backend KIND     heuristic (default) or race\n"
            "                     race: heuristic answer, then the "
-           "exact arm tightens\n"
+           "exact SAT arm tightens\n"
            "                     the II or certifies it optimal\n"
            "  --exact-conflicts N  conflict budget per exact II "
            "decision\n"
