@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the compiler's building blocks:
  * SCC decomposition, RecMII, the order analyses and the swing sweep
  * (timed apart), MRT operations, cluster assignment and the two
- * schedulers, over generated loops of several sizes; and, over the
- * suite loops, the compile cache's hit path (key derivation, lookup)
- * and the exact arm's per-II decision.
+ * schedulers, over generated loops of several sizes; the byte hash
+ * behind cache keys and checksums; and, over the suite loops, the
+ * compile cache's hit path (key derivation, lookup), the schedule
+ * verifier and the exact arm's per-II decision.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,8 +22,10 @@
 #include "machine/configs.hh"
 #include "order/swing_order.hh"
 #include "pipeline/cache/compile_cache.hh"
+#include "pipeline/cache/hash.hh"
 #include "pipeline/driver.hh"
 #include "sched/mii.hh"
+#include "sched/verifier.hh"
 #include "sim/compare.hh"
 #include "workload/generator.hh"
 #include "workload/suite.hh"
@@ -191,6 +194,24 @@ suiteLoops()
     return loops;
 }
 
+/**
+ * hashBytes over Arg bytes: 64 B is a small serve frame, 1.4 KB about
+ * a suite loop's graph image (mean 1.2 KB), 3.5 KB about a cache entry
+ * (mean 3.4 KB over a `camsc --suite 1327` cache).
+ */
+void
+BM_HashBytes(benchmark::State &state)
+{
+    std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 131 + 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hashBytes(bytes));
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_HashBytes)->Arg(64)->Arg(1400)->Arg(3500);
+
 void
 BM_CacheKey(benchmark::State &state)
 {
@@ -238,6 +259,35 @@ BM_CacheLookupHit(benchmark::State &state)
     std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CacheLookupHit);
+
+/** verifySchedule on the 2c compile of each suite loop in turn: the
+ *  re-verify layer of a cache hit. */
+void
+BM_VerifySchedule(benchmark::State &state)
+{
+    const std::vector<Dfg> &loops = suiteLoops();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const ResourceModel model(machine);
+    std::vector<CompileResult> compiled;
+    for (const Dfg &loop : loops) {
+        CompileResult result = compileClustered(loop, machine);
+        if (result.success)
+            compiled.push_back(std::move(result));
+    }
+    size_t k = 0;
+    for (auto _ : state) {
+        const CompileResult &result = compiled[k];
+        const bool ok =
+            verifySchedule(result.loop, model, result.schedule);
+        benchmark::DoNotOptimize(ok);
+        if (!ok) {
+            state.SkipWithError("a compiled suite loop fails to verify");
+            break;
+        }
+        k = (k + 1) % compiled.size();
+    }
+}
+BENCHMARK(BM_VerifySchedule);
 
 /**
  * One exact per-II decision (counts relaxation, then the timed ladder)

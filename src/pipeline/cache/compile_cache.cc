@@ -30,11 +30,14 @@ namespace
 constexpr uint32_t entryMagic = 0x31454343u;
 
 /**
- * Bumped on any change to the entry layout or a nested payload.
- * Version 2 keys entries by the exact loop image: the header's first
- * hash is hashBytes(packDfg(graph)), no longer the canonical hash.
+ * Bumped on any change to the entry layout, a nested payload or the
+ * hash behind its keys and checksum. Version 2 keys entries by the
+ * exact loop image: the header's first hash is
+ * hashBytes(packDfg(graph)), no longer the canonical hash. Version 3
+ * computes every hash with the word-at-a-time hashBytes (FNV-1a
+ * before), so version-2 files sit under names no key derives.
  */
-constexpr uint32_t entryFormatVersion = 2;
+constexpr uint32_t entryFormatVersion = 3;
 
 /** Salts the options hash so schema changes invalidate old keys. */
 constexpr uint64_t optionsSchemaSalt = 0xca5cade100000003ULL;

@@ -28,12 +28,13 @@
  *    torn entry; readers treat any truncation, bad magic, version
  *    mismatch or checksum failure as a miss.
  *
- * A hit therefore costs the key (the graph and machine images hashed
- * as they are walked, never built), one file read, the checksum, a
- * decode of the stored result, the image gates and the verifier
- * pass. A miss runs the cold search from MII; nothing else is read
- * or written, so the cache is a pure memo: every result is a function
- * of (loop, machine, options) alone, whatever the cache has seen.
+ * A hit therefore costs the key (the graph and machine images packed
+ * into a reused per-thread buffer and hashed), one file read, the
+ * checksum, a decode of the stored result, the image gates (one byte
+ * compare each) and the verifier pass. A miss runs the cold search
+ * from MII; nothing else is read or written, so the cache is a pure
+ * memo: every result is a function of (loop, machine, options) alone,
+ * whatever the cache has seen.
  *
  * Thread safety: the in-memory index is sharded (one mutex per
  * shard) so hit serving scales under the pipeline/batch thread pool;

@@ -29,74 +29,9 @@ putLittleEndian(char *out, uint64_t value, size_t count)
         out[i] = static_cast<char>((value >> (8 * i)) & 0xff);
 }
 
-/**
- * The field encoding of ByteWriter, fed to any sink that takes bytes:
- * the image hash and the byte-exact gate walk a graph or machine
- * through it without building its image.
- */
-template <class Sink>
-class FieldSink
-{
-  public:
-    explicit FieldSink(Sink &sink) : sink_(sink) {}
-
-    void u32(uint32_t value) { word(value, 4); }
-    void u64(uint64_t value) { word(value, 8); }
-    void i64(int64_t value) { u64(static_cast<uint64_t>(value)); }
-
-    void
-    str(std::string_view value)
-    {
-        u64(value.size());
-        sink_(value);
-    }
-
-  private:
-    void
-    word(uint64_t value, size_t count)
-    {
-        char buf[8];
-        putLittleEndian(buf, value, count);
-        sink_(std::string_view(buf, count));
-    }
-
-    Sink &sink_;
-};
-
-/** True when the fields @p emit produces spell exactly @p image. */
-template <class Emit>
-bool
-imageMatches(std::string_view image, Emit emit)
-{
-    size_t pos = 0;
-    bool ok = true;
-    auto compare = [&](std::string_view bytes) {
-        if (ok && image.substr(pos, bytes.size()) == bytes)
-            pos += bytes.size();
-        else
-            ok = false;
-    };
-    FieldSink fields(compare);
-    emit(fields);
-    return ok && pos == image.size();
-}
-
-/** hashBytes() of the image the fields @p emit produces. */
-template <class Emit>
-uint64_t
-imageHash(Emit emit)
-{
-    ByteHasher hasher;
-    auto add = [&](std::string_view bytes) { hasher.add(bytes); };
-    FieldSink fields(add);
-    emit(fields);
-    return hasher.value();
-}
-
-/** The packDfg layout, fed to a ByteWriter or a FieldSink. */
-template <class Out>
+/** The packDfg layout. */
 void
-emitDfg(Out &w, const Dfg &graph)
+emit(ByteWriter &w, const Dfg &graph)
 {
     w.str(graph.name());
     w.u64(graph.numNodes());
@@ -114,10 +49,9 @@ emitDfg(Out &w, const Dfg &graph)
     }
 }
 
-/** The packMachine layout, fed to a ByteWriter or a FieldSink. */
-template <class Out>
+/** The packMachine layout. */
 void
-emitMachine(Out &w, const MachineDesc &machine)
+emit(ByteWriter &w, const MachineDesc &machine)
 {
     w.str(machine.name);
     w.u32(static_cast<uint32_t>(machine.interconnect));
@@ -135,6 +69,23 @@ emitMachine(Out &w, const MachineDesc &machine)
         w.i64(link.a);
         w.i64(link.b);
     }
+}
+
+/**
+ * The image of @p value, packed into this thread's reused buffer: the
+ * image hash and the byte-exact gate allocate nothing once it has
+ * grown. Cache lookups and stores run on worker threads, so the
+ * buffer is never shared; the view is valid until the thread packs
+ * its next image of the same kind.
+ */
+template <class T>
+std::string_view
+scratchImage(const T &value)
+{
+    thread_local ByteWriter buffer;
+    buffer.clear();
+    emit(buffer, value);
+    return buffer.data();
 }
 
 } // namespace
@@ -184,11 +135,11 @@ bool
 ByteReader::u32(uint32_t &out)
 {
     const char *p = nullptr;
-    if (!take(4, p))
+    if (!take(sizeof(out), p))
         return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i)
-        out |= uint32_t(static_cast<unsigned char>(p[i])) << (8 * i);
+    std::memcpy(&out, p, sizeof(out));
+    if constexpr (std::endian::native == std::endian::big)
+        out = __builtin_bswap32(out);
     return true;
 }
 
@@ -196,11 +147,11 @@ bool
 ByteReader::u64(uint64_t &out)
 {
     const char *p = nullptr;
-    if (!take(8, p))
+    if (!take(sizeof(out), p))
         return false;
-    out = 0;
-    for (int i = 0; i < 8; ++i)
-        out |= uint64_t(static_cast<unsigned char>(p[i])) << (8 * i);
+    std::memcpy(&out, p, sizeof(out));
+    if constexpr (std::endian::native == std::endian::big)
+        out = __builtin_bswap64(out);
     return true;
 }
 
@@ -253,20 +204,20 @@ std::string
 packDfg(const Dfg &graph)
 {
     ByteWriter w;
-    emitDfg(w, graph);
+    emit(w, graph);
     return w.take();
 }
 
 bool
 dfgImageMatches(std::string_view image, const Dfg &graph)
 {
-    return imageMatches(image, [&](auto &w) { emitDfg(w, graph); });
+    return image == scratchImage(graph);
 }
 
 uint64_t
 dfgImageHash(const Dfg &graph)
 {
-    return imageHash([&](auto &w) { emitDfg(w, graph); });
+    return hashBytes(scratchImage(graph));
 }
 
 bool
@@ -329,21 +280,20 @@ std::string
 packMachine(const MachineDesc &machine)
 {
     ByteWriter w;
-    emitMachine(w, machine);
+    emit(w, machine);
     return w.take();
 }
 
 bool
 machineImageMatches(std::string_view image, const MachineDesc &machine)
 {
-    return imageMatches(image,
-                        [&](auto &w) { emitMachine(w, machine); });
+    return image == scratchImage(machine);
 }
 
 uint64_t
 machineImageHash(const MachineDesc &machine)
 {
-    return imageHash([&](auto &w) { emitMachine(w, machine); });
+    return hashBytes(scratchImage(machine));
 }
 
 bool

@@ -16,8 +16,8 @@
  * MachineDesc, and the full CompileResult. packDfg/packMachine are
  * also the exact-match fingerprints the cache compares verbatim
  * before trusting a hash hit. The *ImageMatches and *ImageHash
- * functions compare against and hash those images straight from a
- * live graph or machine, without building them.
+ * functions pack the live graph or machine once, into a reused
+ * per-thread buffer, and compare or hash those contiguous bytes.
  */
 
 #ifndef CAMS_PIPELINE_CACHE_SERIALIZE_HH
@@ -46,6 +46,9 @@ class ByteWriter
 
     const std::string &data() const { return out_; }
     std::string take() { return std::move(out_); }
+
+    /** Empties the writer, keeping its capacity for reuse. */
+    void clear() { out_.clear(); }
 
   private:
     std::string out_;
@@ -87,7 +90,7 @@ std::string packDfg(const Dfg &graph);
 /** True when @p image is exactly packDfg(@p graph). */
 bool dfgImageMatches(std::string_view image, const Dfg &graph);
 
-/** hashBytes(packDfg(@p graph)), without building the image. */
+/** hashBytes(packDfg(@p graph)). */
 uint64_t dfgImageHash(const Dfg &graph);
 
 /** Rebuilds a graph from packDfg bytes; false on malformed input. */
@@ -100,7 +103,7 @@ std::string packMachine(const MachineDesc &machine);
 bool machineImageMatches(std::string_view image,
                          const MachineDesc &machine);
 
-/** hashBytes(packMachine(@p machine)), without building the image. */
+/** hashBytes(packMachine(@p machine)). */
 uint64_t machineImageHash(const MachineDesc &machine);
 
 /** Rebuilds a machine from packMachine bytes. */

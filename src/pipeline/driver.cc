@@ -46,13 +46,19 @@ degradeLevelName(DegradeLevel level)
 namespace
 {
 
-/** Emits a Decision-level pipeline instant tagged with the job. */
+/**
+ * Emits a Decision-level pipeline instant tagged with the job. Its
+ * arguments come from @p makeArgs, called only when Decision tracing
+ * is on, so a compile that does not trace allocates nothing here.
+ */
+template <class MakeArgs>
 void
 traceDecision(const TraceConfig &trace, const char *name,
-              TraceArgs args)
+              MakeArgs &&makeArgs)
 {
     if (!trace.active(TraceLevel::Decision))
         return;
+    TraceArgs args = makeArgs();
     if (!trace.tag.empty())
         args.emplace_back("job", trace.tag);
     trace.sink->instant(name, "pipeline", std::move(args));
@@ -118,13 +124,15 @@ probeCache(CompileCache &cache, const CacheKey &key, const Dfg &graph,
         // (whose transient flags are false); restamp them.
         result.cacheProbed = true;
         result.fromCache = true;
-        traceDecision(options.trace, "cache_probe",
-                      {{"outcome", "hit"},
-                       {"ii", std::to_string(result.ii)}});
+        traceDecision(options.trace, "cache_probe", [&] {
+            return TraceArgs{{"outcome", "hit"},
+                             {"ii", std::to_string(result.ii)}};
+        });
         return true;
     }
     result.cacheProbed = true;
-    traceDecision(options.trace, "cache_probe", {{"outcome", "miss"}});
+    traceDecision(options.trace, "cache_probe",
+                  [] { return TraceArgs{{"outcome", "miss"}}; });
     return false;
 }
 
@@ -262,9 +270,10 @@ class IiEscalator
                 if (ii_scope)
                     ii_scope->arg("outcome", reason);
                 if (policy.decisionEscalates) {
-                    traceDecision(options_.trace, "ii_escalate",
-                                  {{"ii", std::to_string(ii)},
-                                   {"reason", reason}});
+                    traceDecision(options_.trace, "ii_escalate", [&] {
+                        return TraceArgs{{"ii", std::to_string(ii)},
+                                         {"reason", reason}};
+                    });
                 }
             };
             Outcome outcome = Outcome::Retry;
@@ -298,11 +307,12 @@ class IiEscalator
                 " ms expired after ", result_.attempts,
                 " II attempts");
             if (policy.traceTimeout) {
-                traceDecision(
-                    options_.trace, "timeout",
-                    {{"attempts", std::to_string(result_.attempts)},
-                     {"budget_ms",
-                      std::to_string(options_.timeBudgetMs)}});
+                traceDecision(options_.trace, "timeout", [&] {
+                    return TraceArgs{
+                        {"attempts", std::to_string(result_.attempts)},
+                        {"budget_ms",
+                         std::to_string(options_.timeBudgetMs)}};
+                });
             }
         }
         return false;
@@ -368,9 +378,10 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             result.faultTrips = faults->totalTrips() - fault_base;
         result.phaseMs.totalMs = total_watch.elapsedMs();
         if (result.faultTrips > 0) {
-            traceDecision(
-                options.trace, "fault_trips",
-                {{"count", std::to_string(result.faultTrips)}});
+            traceDecision(options.trace, "fault_trips", [&] {
+                return TraceArgs{
+                    {"count", std::to_string(result.faultTrips)}};
+            });
         }
         compile_scope.arg("success",
                           result.success ? "true" : "false");
@@ -478,15 +489,19 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         result.exact.decisions += decision.decisions;
         result.exact.propagations += decision.propagations;
         result.exact.solveMs += probe_watch.elapsedMs();
-        TraceArgs args{{"ii", std::to_string(ii)},
-                       {"verdict", exactVerdictName(decision.verdict)}};
         if (decision.proof == ExactProof::Counts)
             ++result.exact.unsatByCounts;
         if (decision.proof == ExactProof::Horizon)
             ++result.exact.unsatByHorizon;
-        if (decision.proof != ExactProof::None)
-            args.emplace_back("proof", exactProofName(decision.proof));
-        traceDecision(options.trace, "exact_probe", std::move(args));
+        traceDecision(options.trace, "exact_probe", [&] {
+            TraceArgs args{
+                {"ii", std::to_string(ii)},
+                {"verdict", exactVerdictName(decision.verdict)}};
+            if (decision.proof != ExactProof::None)
+                args.emplace_back("proof",
+                                  exactProofName(decision.proof));
+            return args;
+        });
         return decision;
     };
 
@@ -561,16 +576,18 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             if (exactSearch(result.mii.mii,
                             result.exact.heuristicIi - 1)) {
                 result.exact.tightened = true;
-                traceDecision(
-                    options.trace, "exact_tightened",
-                    {{"heuristic_ii",
-                      std::to_string(result.exact.heuristicIi)},
-                     {"exact_ii",
-                      std::to_string(result.exact.exactIi)}});
+                traceDecision(options.trace, "exact_tightened", [&] {
+                    return TraceArgs{
+                        {"heuristic_ii",
+                         std::to_string(result.exact.heuristicIi)},
+                        {"exact_ii",
+                         std::to_string(result.exact.exactIi)}};
+                });
             } else if (result.exact.outcome == ExactOutcome::Unsat) {
                 result.exact.certified = true;
-                traceDecision(options.trace, "exact_certified",
-                              {{"ii", std::to_string(result.ii)}});
+                traceDecision(options.trace, "exact_certified", [&] {
+                    return TraceArgs{{"ii", std::to_string(result.ii)}};
+                });
             }
         } else if (!result.success) {
             // Portfolio rescue: the cascade found nothing, so let the
@@ -591,8 +608,9 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     constexpr int exhaustiveFallbackNodes = 8;
     if (!escalator.timedOut() && machine.numClusters() > 1 &&
         graph.numNodes() <= exhaustiveFallbackNodes) {
-        traceDecision(options.trace, "degrade_rung",
-                      {{"rung", "exhaustive_assign"}});
+        traceDecision(options.trace, "degrade_rung", [] {
+            return TraceArgs{{"rung", "exhaustive_assign"}};
+        });
         TraceScope rung_scope(options.trace, TraceLevel::Phase,
                               "exhaustive_assign", "pipeline");
         IiEscalator::Policy rung;
@@ -632,8 +650,9 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     // Rung 2: single cluster, fully serialized. Cheap enough to run
     // even after a timeout -- recovering a classified-failure compile
     // beats reporting it.
-    traceDecision(options.trace, "degrade_rung",
-                  {{"rung", "single_cluster"}});
+    traceDecision(options.trace, "degrade_rung", [] {
+        return TraceArgs{{"rung", "single_cluster"}};
+    });
     TraceScope rung_scope(options.trace, TraceLevel::Phase,
                           "single_cluster", "pipeline");
     if (auto degraded = degradeToSingleCluster(graph, model)) {
@@ -768,8 +787,9 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
         });
 
     if (!result.success && options.fallback) {
-        traceDecision(options.trace, "degrade_rung",
-                      {{"rung", "single_cluster"}});
+        traceDecision(options.trace, "degrade_rung", [] {
+            return TraceArgs{{"rung", "single_cluster"}};
+        });
         if (auto degraded = degradeToSingleCluster(graph, model)) {
             std::string why;
             if (verifySchedule(degraded->loop, model,

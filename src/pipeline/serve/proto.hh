@@ -42,9 +42,12 @@ namespace cams
  * checksums (stream.hh), the Submit retry key, and the Shed
  * retry-after hint. v3: Stats/Health polling messages and the
  * Submit trace id + sampling flag. v4: the Result frame drops its
- * warm-start flag (the compile cache keeps no hints).
+ * warm-start flag (the compile cache keeps no hints). v5: the frame
+ * checksum is the word-at-a-time hashBytes (FNV-1a before), so a v4
+ * peer's first frame fails the checksum and the connection closes
+ * before any handshake.
  */
-constexpr uint32_t serveProtoVersion = 4;
+constexpr uint32_t serveProtoVersion = 5;
 
 /** Frames larger than this are protocol errors on both sides. */
 constexpr uint32_t serveMaxFrameBytes = 64u << 20;

@@ -5,11 +5,14 @@
  *
  * Framing. Protocol v2 frames are [u32 length | u64 checksum |
  * payload]: the checksum is hashBytes() of the payload, verified on
- * every read. A flipped bit anywhere on the wire -- payload, length
- * prefix or the checksum itself -- is therefore *detected*: it
- * surfaces as a checksum mismatch, a mis-framed read that the
- * mid-frame deadline cuts short, or an oversized-length rejection,
- * never as silently corrupted message bytes. That detection is what
+ * every read. Since v5 that is the word-at-a-time hash, each of whose
+ * steps is a bijection, so two payloads of one length that differ in
+ * a single bit never share a checksum (see hash.hh). A flipped bit
+ * anywhere on the wire -- payload, length prefix or the checksum
+ * itself -- is therefore *detected*: it surfaces as a checksum
+ * mismatch, a mis-framed read that the mid-frame deadline cuts short,
+ * or an oversized-length rejection, never as silently corrupted
+ * message bytes. That detection is what
  * lets the retry client treat every torn or corrupted frame as a
  * connection failure and re-submit idempotently.
  *

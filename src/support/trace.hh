@@ -38,6 +38,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -178,19 +179,19 @@ struct TraceConfig
 /**
  * RAII phase timer: records one 'X' scope from construction to
  * destruction. Inactive scopes (null sink, insufficient level) cost
- * two branches and never read the clock.
+ * two branches, never read the clock and never build a string.
  */
 class TraceScope
 {
   public:
     TraceScope(const TraceConfig &trace, TraceLevel need,
-               std::string name, std::string cat)
+               std::string_view name, std::string_view cat)
         : sink_(trace.active(need) ? trace.sink : nullptr)
     {
         if (sink_) {
-            name_ = trace.tag.empty() ? std::move(name)
-                                      : trace.tag + "/" + name;
-            cat_ = std::move(cat);
+            name_ = trace.tag.empty() ? "" : trace.tag + "/";
+            name_ += name;
+            cat_ = cat;
             start_ = sink_->now();
         }
     }
@@ -199,10 +200,10 @@ class TraceScope
     TraceScope &operator=(const TraceScope &) = delete;
 
     /** Attaches one argument to the scope (no-op when inactive). */
-    void arg(std::string key, std::string value)
+    void arg(std::string_view key, std::string_view value)
     {
         if (sink_)
-            args_.emplace_back(std::move(key), std::move(value));
+            args_.emplace_back(key, value);
     }
 
     bool active() const { return sink_ != nullptr; }

@@ -2,11 +2,12 @@
  * @file
  * Tests of the persistent compile cache: entry keys taken from the
  * exact loop image (so renamed and renumbered twins each get an entry
- * of their own), the image matchers behind the byte-exact gate,
- * binary round-trips of CompileResult, rejection of version-mismatched
- * and truncated entries, concurrent read/write through the batch
- * thread pool, and results that depend only on (loop, machine,
- * options), never on what the cache has seen.
+ * of their own), the hash behind keys and checksums, the image
+ * matchers behind the byte-exact gate, binary round-trips of
+ * CompileResult, rejection of version-mismatched and truncated
+ * entries, concurrent read/write through the batch thread pool, and
+ * results that depend only on (loop, machine, options), never on what
+ * the cache has seen.
  */
 
 #include <gtest/gtest.h>
@@ -94,16 +95,36 @@ permuted(const Dfg &graph, const std::vector<NodeId> &perm)
     return out.build();
 }
 
-TEST(CacheHash, ByteHasherMatchesHashBytesInAnySplit)
+/** Fails unless flipping any one bit of @p bytes changes hashBytes. */
+void
+expectEveryBitFlipChangesHash(const std::string &bytes)
 {
-    const std::string bytes = packDfg(sampleLoop());
-    for (size_t cut = 0; cut <= bytes.size(); ++cut) {
-        ByteHasher h;
-        h.add(std::string_view(bytes).substr(0, cut));
-        h.add(std::string_view(bytes).substr(cut));
-        ASSERT_EQ(h.value(), hashBytes(bytes)) << "cut " << cut;
+    const uint64_t base = hashBytes(bytes);
+    std::string flipped = bytes;
+    for (size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+        flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        ASSERT_NE(hashBytes(flipped), base) << "bit " << bit;
+        flipped[bit / 8] = bytes[bit / 8];
     }
-    EXPECT_EQ(ByteHasher().value(), hashBytes(""));
+}
+
+TEST(CacheHash, EveryBitFlipOfAnImageChangesTheHash)
+{
+    expectEveryBitFlipChangesHash(packDfg(buildSuite(1).front()));
+    expectEveryBitFlipChangesHash(packDfg(sampleLoop()));
+}
+
+TEST(CacheHash, ZeroFilledInputsOfEveryLengthDiffer)
+{
+    // The zero-padded tail alone would make these equal; the folded
+    // length tells them apart.
+    std::vector<uint64_t> seen;
+    for (size_t length = 0; length <= 16; ++length) {
+        const uint64_t h = hashBytes(std::string(length, '\0'));
+        for (const uint64_t other : seen)
+            ASSERT_NE(h, other) << "length " << length;
+        seen.push_back(h);
+    }
 }
 
 TEST(CacheSerialize, DfgRoundTripPreservesIds)
@@ -211,6 +232,15 @@ TEST(CacheSerialize, ImageMatchersAgreeWithPack)
     // Another loop's image, and a renumbered twin's, do not match.
     EXPECT_FALSE(dfgImageMatches(
         packDfg(permuted(graph, {3, 1, 0, 2})), graph));
+}
+
+TEST(CacheSerialize, ImageHashAndGateAgreeWithPackOnEverySuiteLoop)
+{
+    for (const Dfg &loop : buildSuite()) {
+        const std::string image = packDfg(loop);
+        ASSERT_EQ(dfgImageHash(loop), hashBytes(image)) << loop.name();
+        ASSERT_TRUE(dfgImageMatches(image, loop)) << loop.name();
+    }
 }
 
 TEST(CacheSerialize, ReadDfgRejectsCountsTheBytesCannotHold)
@@ -609,9 +639,37 @@ TEST(CompileCacheTest, ScrubQuarantinesBitRotAndMisnamedEntries)
                            key.fileName()));
 }
 
+TEST(CacheHash, EveryBitFlipOfAnEntryPayloadChangesTheHash)
+{
+    const std::string dir = scratchDir("cache_payload_bits");
+    const Dfg loop = buildSuite(1).front();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    CompileOptions options;
+    {
+        CompileCache cache(dir, CacheMode::ReadWrite);
+        options.cache = &cache;
+        ASSERT_TRUE(compileClustered(loop, machine, options).success);
+    }
+    const CacheKey key = makeCacheKey(loop, machine, options, true);
+    const std::string bytes = slurp(fs::path(dir) / key.fileName());
+
+    // Header: magic, version, three key hashes, the checksum, then
+    // the length-prefixed payload the checksum covers.
+    ByteReader reader(bytes);
+    uint32_t magic = 0, version = 0;
+    uint64_t hash = 0, checksum = 0;
+    std::string_view payload;
+    ASSERT_TRUE(reader.u32(magic) && reader.u32(version) &&
+                reader.u64(hash) && reader.u64(hash) &&
+                reader.u64(hash) && reader.u64(checksum) &&
+                reader.view(payload) && reader.atEnd());
+    ASSERT_EQ(checksum, hashBytes(payload));
+    expectEveryBitFlipChangesHash(std::string(payload));
+}
+
 TEST(CompileCacheTest, ScrubQuarantinesOldFormatEntries)
 {
-    const std::string dir = scratchDir("cache_scrub_v1");
+    const std::string dir = scratchDir("cache_scrub_v2");
     const Dfg graph = sampleLoop();
     const MachineDesc machine = busedGpMachine(2, 2, 1);
     CompileOptions options;
@@ -625,10 +683,19 @@ TEST(CompileCacheTest, ScrubQuarantinesOldFormatEntries)
     const fs::path entry = fs::path(dir) / key.fileName();
     std::string bytes = slurp(entry);
     ASSERT_GT(bytes.size(), 8u);
-    // Rewrite the version field (bytes 4..7) to the old format 1.
-    ASSERT_EQ(bytes[4], char(2));
-    bytes[4] = char(1);
+    // Rewrite the version field (bytes 4..7) to the previous format
+    // 2: a well-formed entry under a valid file name, but an old one.
+    ASSERT_EQ(bytes[4], char(3));
+    bytes[4] = char(2);
     spill(entry, bytes, bytes.size());
+
+    {
+        CompileCache cache(dir, CacheMode::ReadOnly);
+        CompileResult out;
+        EXPECT_FALSE(cache.lookup(key, graph, machine, out));
+        EXPECT_EQ(cache.totals().misses, 1);
+        EXPECT_EQ(cache.totals().hits, 0);
+    }
 
     const ScrubReport report = scrubCacheDir(dir);
     EXPECT_EQ(report.entriesScanned, 1);
